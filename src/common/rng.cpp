@@ -1,13 +1,6 @@
 #include "common/rng.hpp"
 
 namespace qec {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -19,18 +12,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 Xoshiro256ss::Xoshiro256ss(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-Xoshiro256ss::result_type Xoshiro256ss::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256ss::jump() {
@@ -47,17 +28,6 @@ void Xoshiro256ss::jump() {
     }
   }
   s_ = acc;
-}
-
-double Xoshiro256ss::uniform() {
-  // 53 top bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Xoshiro256ss::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 std::uint64_t Xoshiro256ss::below(std::uint64_t n) {

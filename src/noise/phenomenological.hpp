@@ -44,7 +44,51 @@ struct SyndromeHistory {
   BitVec final_error;
 };
 
-/// Samples one memory-experiment history.
+/// The phenomenological sampling kernel: sample_history and the stream
+/// recorder (record_trace) both draw through it, so the model has one
+/// sampling loop. It streams one memory experiment round by round and
+/// emits each round's difference layer as packed words.
+///
+/// The draw sequence is the original byte-per-bit one: per noisy round,
+/// one bernoulli(p_data) per data qubit in index order, then one
+/// bernoulli(p_meas) per check in index order; the final perfect round
+/// draws nothing. The probabilities are hoisted into integer thresholds
+/// (Xoshiro256ss::bernoulli_threshold), the syndrome is kept as a running
+/// packed XOR of each flipped qubit's checks, and a measured layer is that
+/// syndrome XOR the packed measurement flips.
+class PhenomenologicalSampler {
+ public:
+  /// Throws std::invalid_argument when params.rounds < 1.
+  PhenomenologicalSampler(const PlanarLattice& lattice,
+                          const NoiseParams& params);
+
+  /// Stored rounds: params.rounds noisy rounds plus the final perfect one.
+  int stored_rounds() const { return rounds_ + 1; }
+
+  /// Samples the next stored round and overwrites `difference` (sized
+  /// num_checks) with its difference layer. Call stored_rounds() times.
+  void next_round(Xoshiro256ss& rng, PackedBits& difference);
+
+  /// Measured syndrome of the round last sampled.
+  const PackedBits& measured() const { return measured_; }
+
+  /// Accumulated data error so far; after the last round, the ground truth.
+  BitVec take_error() { return std::move(error_); }
+
+ private:
+  const PlanarLattice& lattice_;
+  int rounds_;
+  int round_ = 0;
+  std::uint64_t data_threshold_;
+  std::uint64_t meas_threshold_;
+  bool data_draws_;
+  bool meas_draws_;
+  BitVec error_;
+  PackedBits syndrome_;  ///< syndrome of error_
+  PackedBits measured_;
+};
+
+/// Samples one memory-experiment history (byte-per-bit, via the kernel).
 SyndromeHistory sample_history(const PlanarLattice& lattice,
                                const NoiseParams& params, Xoshiro256ss& rng);
 
@@ -58,22 +102,6 @@ std::vector<BitVec> difference_syndromes(const std::vector<BitVec>& measured);
 /// lane recovers a full SyndromeHistory for scoring.
 std::vector<BitVec> accumulate_differences(
     const std::vector<BitVec>& difference);
-
-// Packed (word-parallel) counterparts: the streamed datapath keeps
-// difference layers in PackedBits form end-to-end (trace payload ->
-// engine Reg), so generation and accumulation run one XOR per 64 checks.
-
-/// Packs a byte-per-bit layer sequence (the bridge from sample_history
-/// output into the packed trace payload).
-std::vector<PackedBits> packed_layers(const std::vector<BitVec>& layers);
-
-/// Difference layers of a packed measured-syndrome sequence.
-std::vector<PackedBits> difference_syndromes(
-    const std::vector<PackedBits>& measured);
-
-/// Running XOR of packed difference layers (inverse of the above).
-std::vector<PackedBits> accumulate_differences(
-    const std::vector<PackedBits>& difference);
 
 /// Total number of defects (set difference-syndrome bits) in a history.
 int defect_count(const SyndromeHistory& history);

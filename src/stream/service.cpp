@@ -895,7 +895,7 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   TraceHeader header;
   header.distance = static_cast<std::uint32_t>(config.distance);
   header.lanes = static_cast<std::uint32_t>(config.lanes);
-  // Stored rounds include the final perfect round sample_history appends.
+  // Stored rounds include the final perfect round the sampler appends.
   header.rounds = static_cast<std::uint32_t>(noisy_rounds + 1);
   header.checks = static_cast<std::uint32_t>(lattice.num_checks());
   header.data_qubits = static_cast<std::uint32_t>(lattice.num_data());
@@ -906,9 +906,15 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   SyndromeTrace trace(header);
   parallel_for(config.lanes, config.threads, [&](int lane) {
     Xoshiro256ss rng = lane_rng(config, lane, noisy_rounds);
-    const auto history =
-        sample_history(lattice, {config.p, config.p, noisy_rounds}, rng);
-    trace.set_lane(lane, history);  // disjoint slots: no cross-lane writes
+    PhenomenologicalSampler sampler(lattice,
+                                    {config.p, config.p, noisy_rounds});
+    // Each round's words land in the trace's own preallocated slot (disjoint
+    // per lane: no cross-lane writes). Moving per-lane layers in instead
+    // would scatter the slots that replay walks round-major.
+    for (int t = 0; t < trace.rounds(); ++t) {
+      sampler.next_round(rng, trace.layer_slot(lane, t));
+    }
+    trace.set_final_error(lane, sampler.take_error());
   });
   return trace;
 }

@@ -80,6 +80,10 @@ const PackedBits& SyndromeTrace::layer(int lane, int round) const {
   return layers_.at(layer_index(lane, round));
 }
 
+PackedBits& SyndromeTrace::layer_slot(int lane, int round) {
+  return layers_.at(layer_index(lane, round));
+}
+
 void SyndromeTrace::set_layer(int lane, int round, PackedBits layer) {
   if (layer.size() != header_.checks) bad_trace("layer size mismatch");
   layers_.at(layer_index(lane, round)) = std::move(layer);
@@ -99,16 +103,6 @@ void SyndromeTrace::set_final_error(int lane, BitVec error) {
     bad_trace("final error size mismatch");
   }
   final_error_.at(static_cast<std::size_t>(lane)) = std::move(error);
-}
-
-void SyndromeTrace::set_lane(int lane, const SyndromeHistory& history) {
-  if (history.difference.size() != header_.rounds) {
-    bad_trace("lane history has wrong round count");
-  }
-  for (int t = 0; t < rounds(); ++t) {
-    set_layer(lane, t, history.difference[static_cast<std::size_t>(t)]);
-  }
-  set_final_error(lane, history.final_error);
 }
 
 SyndromeHistory SyndromeTrace::history(int lane) const {

@@ -75,16 +75,15 @@ class SyndromeTrace {
   /// Difference layer streamed to `lane` in round `round` (sized checks).
   /// Packed — OnlineStepper::push() consumes it without unpacking.
   const PackedBits& layer(int lane, int round) const;
+  /// The preallocated slot behind layer(): the recorder samples each
+  /// round's words straight into it. Writers keep it sized checks.
+  PackedBits& layer_slot(int lane, int round);
   void set_layer(int lane, int round, PackedBits layer);
   void set_layer(int lane, int round, const BitVec& layer);
 
   /// Ground-truth accumulated data error of `lane` (sized data_qubits).
   const BitVec& final_error(int lane) const;
   void set_final_error(int lane, BitVec error);
-
-  /// Copies one recorded lane into the trace (history.difference must hold
-  /// exactly rounds() layers).
-  void set_lane(int lane, const SyndromeHistory& history);
 
   /// Reconstructs `lane` as a SyndromeHistory (measured syndromes rebuilt
   /// via accumulate_differences) — what replay hands to the scoring path.

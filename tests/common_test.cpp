@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/cli.hpp"
@@ -44,6 +45,72 @@ TEST(Rng, BernoulliMatchesProbability) {
     for (int i = 0; i < n; ++i) hits += rng.bernoulli(p);
     EXPECT_NEAR(static_cast<double>(hits) / n, p, 0.01) << "p=" << p;
   }
+}
+
+TEST(Rng, BernoulliThresholdIsExact) {
+  // The integer form the noise sampler hoists out of its loop must agree
+  // with uniform() < p for every p, including the edges where the double
+  // -> integer conversion could go wrong.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double two_m53 = std::ldexp(1.0, -53);
+  const double ps[] = {0.0,
+                       -0.0,
+                       -1e-300,
+                       -0.5,
+                       -kInf,
+                       std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::denorm_min(),
+                       std::nextafter(two_m53, 0.0),
+                       two_m53,
+                       std::nextafter(two_m53, 1.0),
+                       1e-3,
+                       0.5,
+                       std::nextafter(1.0, 0.0),
+                       1.0,
+                       1.5,
+                       kInf};
+  const auto below_p = [](std::uint64_t u, double p) {
+    return static_cast<double>(u) * 0x1.0p-53 < p;
+  };
+  for (const double p : ps) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    const std::uint64_t t = Xoshiro256ss::bernoulli_threshold(p);
+    ASSERT_LE(t, Xoshiro256ss::kUnitThreshold);
+    // Boundary draws: u = T-1 is the largest success, u = T the smallest
+    // failure.
+    if (t > 0) {
+      EXPECT_TRUE(below_p(t - 1, p));
+    }
+    if (t < Xoshiro256ss::kUnitThreshold) {
+      EXPECT_FALSE(below_p(t, p));
+    }
+    // Shared raw draws: the threshold form on one copy of the stream,
+    // uniform() < p on the other.
+    Xoshiro256ss raw(1234), ref(1234);
+    for (int i = 0; i < 4096; ++i) {
+      ASSERT_EQ((raw() >> 11) < t, ref.uniform() < p);
+    }
+    // bernoulli() skips the draw exactly where bernoulli_draws() says so,
+    // and its draw-free answer is the threshold's.
+    Xoshiro256ss a(77), b(77);
+    const bool hit = a.bernoulli(p);
+    if (Xoshiro256ss::bernoulli_draws(p)) {
+      EXPECT_EQ(hit, (b() >> 11) < t);
+    } else {
+      EXPECT_EQ(hit, t != 0);
+    }
+    EXPECT_EQ(a(), b());
+  }
+  EXPECT_TRUE(Xoshiro256ss::bernoulli_draws(
+      std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(Xoshiro256ss::bernoulli_threshold(
+                std::numeric_limits<double>::denorm_min()),
+            1u);
+  EXPECT_EQ(Xoshiro256ss::bernoulli_threshold(two_m53), 1u);
+  EXPECT_EQ(Xoshiro256ss::bernoulli_threshold(std::nextafter(two_m53, 1.0)),
+            2u);
+  EXPECT_EQ(Xoshiro256ss::bernoulli_threshold(std::nextafter(1.0, 0.0)),
+            Xoshiro256ss::kUnitThreshold - 1);
 }
 
 TEST(Rng, BelowStaysInRangeAndCoversAll) {

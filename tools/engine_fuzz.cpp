@@ -16,7 +16,10 @@
 // engine_fuzz --iters=N --inject-fault=cache-replay --expect-failure (the
 // harness self-check: a planted engine bug must be found).
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -55,7 +58,8 @@ constexpr const char* kOptions =
     "  --threads=1          replay worker threads\n"
     "  --report=FILE        also write the replay report to FILE\n"
     "  --minimize=FILE      minimize mode: shrink one failing trace file\n"
-    "  --save-corpus=DIR    record the seed matrix into DIR and exit\n";
+    "  --save-corpus=DIR    record the seed matrix into DIR (created if\n"
+    "                       missing) and exit\n";
 
 std::vector<double> parse_doubles(const std::string& csv) {
   std::vector<double> out;
@@ -170,6 +174,13 @@ int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
   config.oracle = build_oracle(args);
   config.max_iterations = 1;
   config.out_dir = dir;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "engine_fuzz: cannot create %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+    return 2;
+  }
   int written = 0;
   for (const auto& spec : config.seeds) {
     qec::StreamConfig stream;
@@ -198,9 +209,7 @@ int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
   return written > 0 ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "engine_fuzz", kSummary, kOptions)) return 0;
 
@@ -259,4 +268,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   return stats.found_failure() ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A TraceError (unreadable, corrupt, or unwritable trace) or a malformed
+  // numeric flag ends in a named error and a non-zero exit, never
+  // std::terminate.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "engine_fuzz: %s\n", e.what());
+    return 2;
+  }
 }
