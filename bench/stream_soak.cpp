@@ -28,7 +28,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/slo.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/admission.hpp"
 #include "stream/scheduler.hpp"
@@ -55,10 +54,6 @@ constexpr const char* kOptions =
     "                        pause[:high=H,low=L] |\n"
     "                        codel[:target=T,interval=I] (rounds)\n"
     "  --budget-w=0          4-K power budget in watts; > 0 caps K\n"
-    "  --cache=SPEC          decode-window cache: off | on |\n"
-    "                        clock[:entries=N,shards=S,max_defects=M]\n"
-    "                        ('' = engine-spec / built-in default)\n"
-    "  --cache-csv=FILE      per-lane decode-cache counter CSV\n"
     "  --dispatch=1          rounds per scheduling dispatch (static policies)\n"
     "  --seed=2021           trace RNG seed\n"
     "  --drain=1000          max drain rounds after the trace ends\n"
@@ -95,6 +90,10 @@ constexpr const char* kOptions =
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "stream_soak", kSummary, kOptions)) return 0;
+  if (qec::reject_removed_flags(args, "stream_soak", {"cache", "cache-csv"},
+                                "the decode-window cache was deleted")) {
+    return 1;
+  }
   qec::StreamConfig config;
   config.lanes = static_cast<int>(args.get_int_or("lanes", 64));
   config.distance = static_cast<int>(args.get_int_or("d", 7));
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
   config.admission = args.get_or("admission", "overflow");
   config.budget_w = args.get_double_or("budget-w", 0.0);
   config.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  config.cache = args.get_or("cache", "");
   config.threads = qec::threads_override(args, 1);
   const std::string trace_json = args.get_or("trace-json", "");
   const std::string metrics_csv = args.get_or("metrics-csv", "");
@@ -142,7 +140,6 @@ int main(int argc, char** argv) {
     qec::online_engine_config(config.engine);
     qec::make_scheduler_policy(config.policy);
     qec::parse_admission_spec(config.admission);
-    if (!config.cache.empty()) qec::parse_decode_cache_spec(config.cache);
     if (!config.obs.slo.empty()) qec::obs::parse_slo_spec(config.obs.slo);
 
     qec::SyndromeTrace trace;
@@ -175,17 +172,6 @@ int main(int argc, char** argv) {
                    std::to_string(outcome.telemetry.engines) + " / " +
                        config.policy});
     table.add_row({"admission", config.admission});
-    table.add_row({"decode cache", outcome.telemetry.cache});
-    if (outcome.telemetry.cache != "off") {
-      table.add_row(
-          {"cache hits / misses / bypasses",
-           std::to_string(all.cache.hits) + " / " +
-               std::to_string(all.cache.misses) + " / " +
-               std::to_string(all.cache.bypasses)});
-      table.add_row({"cache zero rounds / pushes",
-                     std::to_string(all.cache.zero_rounds) + " / " +
-                         std::to_string(all.cache.zero_pushes)});
-    }
     if (outcome.telemetry.watts > 0) {
       std::string watts = qec::TextTable::fmt(outcome.telemetry.watts * 1e6, 3) + " uW";
       if (config.budget_w > 0) {
@@ -268,12 +254,6 @@ int main(int argc, char** argv) {
       if (!timeline_csv.empty() &&
           !report_written(outcome.telemetry.write_timeline_csv(timeline_csv),
                           "round timeline", timeline_csv)) {
-        return 1;
-      }
-      const std::string cache_csv = args.get_or("cache-csv", "");
-      if (!cache_csv.empty() &&
-          !report_written(outcome.telemetry.write_cache_csv(cache_csv),
-                          "decode-cache report", cache_csv)) {
         return 1;
       }
       const std::string latency_csv = args.get_or("latency-csv", "");

@@ -97,6 +97,19 @@ bool handle_help(const CliArgs& args, const char* program,
   return true;
 }
 
+bool reject_removed_flags(const CliArgs& args, const char* program,
+                          std::initializer_list<std::string_view> removed,
+                          const char* why) {
+  bool found = false;
+  for (const std::string_view name : removed) {
+    if (!args.get_flag(name)) continue;
+    std::fprintf(stderr, "%s: --%.*s was removed: %s\n", program,
+                 static_cast<int>(name.size()), name.data(), why);
+    found = true;
+  }
+  return found;
+}
+
 std::optional<std::string> optional_value_flag(const CliArgs& args,
                                                std::string_view name,
                                                std::string_view bare_value) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,6 +60,15 @@ bool wants_help(const CliArgs& args);
 /// with: `if (qec::handle_help(args, "name", kSummary, kOptions)) return 0;`
 bool handle_help(const CliArgs& args, const char* program,
                  const char* summary, const char* options);
+
+/// Rejects retired flags. CliArgs keeps unknown flags without complaint,
+/// so a flag a binary stopped reading would be ignored and an old command
+/// line would run without doing what it asked. Prints
+/// "<program>: --<flag> was removed: <why>" to stderr for every retired
+/// flag present and returns true when there was one; main() then exits 1.
+bool reject_removed_flags(const CliArgs& args, const char* program,
+                          std::initializer_list<std::string_view> removed,
+                          const char* why);
 
 /// Reads a flag that may appear bare or with a value — the
 /// "--dump-obs-on-exit[=DIR]" shape. Returns std::nullopt when the flag is

@@ -4,11 +4,10 @@
 // harness maps each oracle run onto a compact feature space over the
 // *engine states* the input reached: Reg occupancy profiles and their
 // transitions, overflow proximity, pop bursts, the resumable controller
-// position, pause/resume context, per-lane terminal state, and the decode
-// cache's hit/zero/bypass mix. An input that drives the engine into a
-// feature cell no earlier input reached is interesting and is kept as a
-// corpus seed, exactly the AFL-style feedback loop — with the feature map
-// substituting for the edge map.
+// position, pause/resume context, and per-lane terminal state. An input
+// that drives the engine into a feature cell no earlier input reached is
+// interesting and is kept as a corpus seed, exactly the AFL-style feedback
+// loop — with the feature map substituting for the edge map.
 //
 // The map is a fixed bitmap of kCoverageCells cells; (kind, value) pairs
 // hash in via SplitMix64. Collisions merge features, which only makes the
@@ -30,7 +29,6 @@ enum class Feature : std::uint8_t {
   kController,      ///< post-run (base_depth, hop_limit) position
   kPause,           ///< occupancy at a checkpoint/resume no-op pair
   kLaneEnd,         ///< terminal lane state: overflow/drained/paused bits
-  kCacheMix,        ///< per-lane hit/zero/bypass occupancy of the cache
 };
 
 inline constexpr std::size_t kCoverageCells = std::size_t{1} << 12;

@@ -87,8 +87,6 @@ struct FuzzStats {
   int corpus_size = 0;
   int coverage_cells = 0;
   std::uint64_t oracle_runs = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::vector<FuzzFailure> failures;
   double elapsed_s = 0.0;
 

@@ -8,7 +8,7 @@
 // The operators are shaped by how the engine fails, not by byte entropy:
 //   kBitFlips        sparse random defect flips (generic exploration)
 //   kBurst           a spatial cluster of defects in one round (a burst
-//                    error; stresses dense-window bypass and matching)
+//                    error; stresses dense-window matching)
 //   kRowStreak       the same check repeating across consecutive rounds
 //                    (a measurement-error streak; stresses time-like
 //                    matching and Reg occupancy growth)
@@ -16,7 +16,7 @@
 //                    chain; stresses path retracing)
 //   kWindowCluster   defects packed around multiples of the Reg depth and
 //                    thv gate (window-boundary alignment; stresses the
-//                    pop/eligibility edge cases and cache-key boundaries)
+//                    pop/eligibility edge cases)
 //   kClearRegion     zeroes a random span of rounds in one lane (escapes
 //                    saturated states; gives shrinking a head start)
 //   kSplice          rounds [cut, end) replaced by another corpus parent's

@@ -1,19 +1,15 @@
 #include "fuzz/oracle.hpp"
 
-#include <memory>
 #include <sstream>
 #include <utility>
 
-#include "qecool/decode_cache.hpp"
 #include "qecool/probe.hpp"
 #include "surface_code/planar_lattice.hpp"
 
 namespace qec::fuzz {
 namespace {
 
-/// Everything a lane run produces that the arms must agree on. Cache
-/// counters are deliberately excluded: they are observability, not
-/// outcome, and legitimately differ between arms.
+/// Everything a lane run produces that the arms must agree on.
 struct LaneOutcome {
   bool overflow = false;
   bool drained = false;
@@ -166,16 +162,12 @@ class InvariantProbe : public EngineProbe {
   std::vector<std::string> violations_;
 };
 
-enum class Arm { kBaseline, kCache, kCacheReplay, kCheckpoint, kUnpacked };
+enum class Arm { kBaseline, kCheckpoint, kUnpacked };
 
 const char* arm_name(Arm arm) {
   switch (arm) {
     case Arm::kBaseline:
       return "baseline";
-    case Arm::kCache:
-      return "cache";
-    case Arm::kCacheReplay:
-      return "cache-replay";
     case Arm::kCheckpoint:
       return "checkpoint";
     case Arm::kUnpacked:
@@ -188,15 +180,14 @@ struct LaneRun {
   LaneOutcome outcome;
   std::vector<std::string> violations;   ///< invariant probe findings
   std::vector<std::string> checkpoint_errors;  ///< snapshot disagreements
-  DecodeCacheStats cache;
 };
 
 /// Streams one lane of `trace` through a fresh stepper: push + spend per
 /// round (mirroring run_online / the streaming service), then clean drain
-/// rounds up to the bound. `cache` may be shared across lanes.
+/// rounds up to the bound.
 LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
                  int lane, const OracleConfig& config, Arm arm,
-                 DecodeCache* cache, FeatureSet* features) {
+                 FeatureSet* features) {
   OnlineConfig online = config.online;
   online.engine.test_fault = config.fault;
   LaneRun run;
@@ -205,7 +196,6 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
                        stepper.engine().hop_limit_bound(),
                        lattice.check_rows(), features);
   stepper.set_probe(&probe);
-  if (cache != nullptr) stepper.set_decode_cache(cache);
 
   int prev_m = 0;
   const auto observe = [&](int pops) {
@@ -289,7 +279,6 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
   run.outcome.self_matches = result.matches.self_matches;
   run.outcome.boundary_matches = result.matches.boundary_matches;
   run.outcome.vertical_hist = result.matches.vertical_hist;
-  run.cache = stepper.engine().cache_stats();
   run.violations = probe.take_violations();
   if (features) {
     features->add(Feature::kLaneEnd,
@@ -353,20 +342,9 @@ OracleReport run_oracles(const SyndromeTrace& trace,
 
   if (config.arm_bitops) check_bitops(trace, report);
 
-  const DecodeCacheConfig& cache_config = config.online.engine.cache;
-  const bool cache_arm = config.arm_cache && cache_config.enabled &&
-                         cache_config.entries > 0;
-  // One cache shared by every lane, lanes executed in order — the same
-  // shard-sequential discipline the streaming service uses, so cross-lane
-  // hits are exercised and the run stays deterministic.
-  std::unique_ptr<DecodeCache> cache =
-      cache_arm ? std::make_unique<DecodeCache>(cache_config.entries)
-                : nullptr;
-
   for (int lane = 0; lane < trace.lanes(); ++lane) {
     const LaneRun baseline = run_lane(lattice, trace, lane, config,
-                                      Arm::kBaseline, nullptr,
-                                      &report.features);
+                                      Arm::kBaseline, &report.features);
     report_violations(report, baseline, Arm::kBaseline, lane);
 
     const auto compare = [&](const LaneRun& other, Arm arm) {
@@ -378,37 +356,13 @@ OracleReport run_oracles(const SyndromeTrace& trace,
       }
     };
 
-    if (cache_arm) {
-      const LaneRun with_cache = run_lane(lattice, trace, lane, config,
-                                          Arm::kCache, cache.get(),
-                                          &report.features);
-      compare(with_cache, Arm::kCache);
-      // Guaranteed-recurrence pass: the same lane again against the same
-      // shard replays every window the first pass just installed (same
-      // push sequence => same keys), so replay correctness is exercised
-      // on every input — random mutation alone rarely recreates a window
-      // bit-for-bit, and a replay bug that only corrupts hits would
-      // otherwise hide behind a cold cache.
-      const LaneRun replayed = run_lane(lattice, trace, lane, config,
-                                        Arm::kCacheReplay, cache.get(),
-                                        &report.features);
-      compare(replayed, Arm::kCacheReplay);
-      report.cache_hits += with_cache.cache.hits + replayed.cache.hits;
-      report.cache_misses += with_cache.cache.misses + replayed.cache.misses;
-      // Cache-mix feature: which of hit/zero/bypass the lane exercised.
-      report.features.add(Feature::kCacheMix,
-                          (replayed.cache.hits ? 1u : 0u) |
-                              (with_cache.cache.zero_rounds ? 2u : 0u) |
-                              (with_cache.cache.bypasses ? 4u : 0u));
-    }
     if (config.arm_checkpoint) {
       compare(run_lane(lattice, trace, lane, config, Arm::kCheckpoint,
-                       nullptr, &report.features),
+                       &report.features),
               Arm::kCheckpoint);
     }
     if (config.arm_unpacked) {
-      compare(run_lane(lattice, trace, lane, config, Arm::kUnpacked, nullptr,
-                       nullptr),
+      compare(run_lane(lattice, trace, lane, config, Arm::kUnpacked, nullptr),
               Arm::kUnpacked);
     }
     if (report.divergences.size() >= 32) break;  // plenty to minimize on
@@ -419,8 +373,7 @@ OracleReport run_oracles(const SyndromeTrace& trace,
 std::string summarize_report(const OracleReport& report) {
   std::ostringstream out;
   if (report.ok()) {
-    out << "ok, " << report.features.count() << " features, "
-        << report.cache_hits << " cache hits";
+    out << "ok, " << report.features.count() << " features";
     return out.str();
   }
   out << report.divergences.size() << " divergence(s):";

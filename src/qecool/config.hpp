@@ -19,35 +19,6 @@ struct CycleModel {
   std::uint32_t pop = 1;            ///< SHIFTREG broadcast.
 };
 
-/// Decode-window memoization knobs (src/qecool/decode_cache.hpp, DESIGN.md
-/// section 13). The cache is engine-external — QecoolEngine only holds a
-/// non-owning pointer — so this config rides along wherever an engine is
-/// built (run_online, BatchQecoolDecoder, the streaming service) and each
-/// owner decides how many shards to materialize.
-struct DecodeCacheConfig {
-  /// Master switch: false reproduces the uncached engine byte for byte
-  /// (no lookups, no installs, no cache trace events).
-  bool enabled = true;
-
-  /// Entries per cache shard; 0 behaves like enabled = false.
-  int entries = 4096;
-
-  /// Cache shards for the streaming service's lane pool. Lanes are split
-  /// into `shards` contiguous blocks, each block sharing one shard and
-  /// executing sequentially on whichever worker claims it — so cache
-  /// contents never depend on --threads. <= 0 picks one shard per 256
-  /// lanes (capped at 16). Single-engine owners ignore this.
-  int shards = 0;
-
-  /// Sparsity gate: windows carrying more than this many defect bits
-  /// across all resident layers bypass the cache (no probe, no install —
-  /// counted in DecodeCacheStats::bypasses). Dense backlogged windows
-  /// are near-unique, so probing them only buys key-build and install
-  /// churn; the small windows that actually recur sit well under this
-  /// bound. <= 0 disables the gate (every eligible window is probed).
-  int max_defects = 6;
-};
-
 struct QecoolConfig {
   /// Reg queue capacity per Unit. The paper's hardware uses 7 (Section
   /// IV-A: "at least three measurement values ... 7-bit with some margin");
@@ -81,11 +52,6 @@ struct QecoolConfig {
 
   CycleModel cycles;
 
-  /// Decode-window memoization (attached by the engine's owner; the
-  /// record_trace path bypasses it because MatchEvent cycle stamps depend
-  /// on absolute engine time, which replay does not reproduce).
-  DecodeCacheConfig cache;
-
   /// Test-only fault injection for the fuzz harness's mutation-testing
   /// self-check (src/fuzz, docs/fuzzing.md): a deliberately planted engine
   /// bug that the differential oracles / invariant probe must detect, or
@@ -94,10 +60,10 @@ struct QecoolConfig {
   int test_fault = kFaultNone;
 
   static constexpr int kFaultNone = 0;
-  /// Cache replay drops the correction XOR delta — a cache-coherence bug
-  /// only the cache-off vs cache-on differential oracle can see, and only
-  /// on a window that both recurs (a hit) and carries a correction.
-  static constexpr int kFaultCacheReplay = 1;
+  /// OnlineStepper::resume() drops the newest resident Reg layer — a
+  /// pause/resume state-restore bug only the checkpoint oracle (a paused
+  /// and resumed run vs the never-paused baseline) can see.
+  static constexpr int kFaultCheckpointResume = 1;
   /// run() under-reports consumed cycles by one whenever it did work — an
   /// accounting bug the invariant probe's conservation check catches.
   static constexpr int kFaultCycleReport = 2;

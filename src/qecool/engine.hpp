@@ -42,7 +42,6 @@
 
 #include "common/stats.hpp"
 #include "qecool/config.hpp"
-#include "qecool/decode_cache.hpp"
 #include "surface_code/packed_bits.hpp"
 #include "surface_code/pauli_frame.hpp"
 #include "surface_code/planar_lattice.hpp"
@@ -52,9 +51,16 @@ namespace qec {
 class EngineProbe;  // qecool/probe.hpp — invariant hook for the fuzz build
 
 namespace obs {
-class Track;     // obs/trace.hpp — the engine never includes the obs layer
-class Profiler;  // obs/profile.hpp — wall-clock hook, same arrangement
+class Track;  // obs/trace.hpp — the engine never includes the obs layer
 }
+
+/// Counters of the engine's all-zero fast paths (run_all_clear and the
+/// word-copy-free push). They never change an outcome; they say how often
+/// the cheap paths ran.
+struct EngineStats {
+  std::uint64_t zero_rounds = 0;  ///< runs taken by the all-clear fast path
+  std::uint64_t zero_pushes = 0;  ///< all-zero pushed layers (copy skipped)
+};
 
 /// One matching event, recorded when QecoolConfig::record_trace is set.
 struct MatchEvent {
@@ -129,12 +135,6 @@ class QecoolEngine {
   /// tracing costs the pop path one branch.
   void set_obs_track(obs::Track* track) { obs_track_ = track; }
 
-  /// Wall-clock profiling hook (src/obs/profile.hpp): when set, the
-  /// decode-cache probe/install regions of run() are timed under
-  /// Stage::kCache. Null disables; a disabled profiler costs the cache
-  /// path one branch, matching the obs hook precedent.
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
   /// Invariant/coverage hook (qecool/probe.hpp): when set, every push,
   /// pop, and run() fires the probe. Null disables; a disabled probe
   /// costs each site one branch, following the obs hook precedent.
@@ -144,19 +144,14 @@ class QecoolEngine {
   /// 2(d-1) + reg_depth + 1 bound) — the invariant probe's range check.
   int hop_limit_bound() const { return nlimit_; }
 
-  /// Attaches a decode-window memoization cache (non-owning; see
-  /// decode_cache.hpp and DESIGN.md section 13). run() then replays
-  /// cached outcomes on window hits — bit-identical to the uncached scan
-  /// — and installs outcomes on misses. Null detaches. Ignored while
-  /// QecoolConfig::record_trace is set (MatchEvent cycle stamps depend on
-  /// absolute engine time, which replay does not reproduce).
-  void set_decode_cache(DecodeCache* cache) { cache_ = cache; }
+  /// All-zero fast-path counters.
+  const EngineStats& engine_stats() const { return engine_stats_; }
 
-  /// This engine's own cache counters: hits/misses/installs/evictions of
-  /// its lookups (meaningful per lane even when lanes share a shard),
-  /// plus the all-zero fast-path counters, which advance with or without
-  /// an attached cache.
-  const DecodeCacheStats& cache_stats() const { return cache_stats_; }
+  /// Test-only (QecoolConfig::kFaultCheckpointResume): discards the newest
+  /// resident Reg layer as if it had never been pushed. The fuzz
+  /// self-check plants this in OnlineStepper::resume(); no production
+  /// path calls it.
+  void drop_newest_layer();
 
  private:
   struct Candidate {
@@ -191,23 +186,11 @@ class QecoolEngine {
   /// True if any base layer is eligible for decoding under thv.
   bool has_eligible_base() const;
 
-  /// run() body (zero fast path, sparsity gate, cache probe, scan); the
-  /// public run() wraps it with the probe hook and fault injection.
-  std::uint64_t run_dispatch(std::uint64_t budget);
-  /// The token/match scan loop (the pre-cache run() body).
+  /// The token/match scan loop.
   std::uint64_t run_scan(std::uint64_t budget);
   /// Analytic emulation of run_scan when every resident layer is clear:
   /// bulk row skips and pops, identical charges, no per-word Reg scans.
   std::uint64_t run_all_clear(std::uint64_t budget);
-  /// Canonicalizes (controller position, budget, sparse Reg words) into
-  /// key_ and returns its hash.
-  std::uint64_t build_cache_key(std::uint64_t budget);
-  /// Applies a cached outcome: state, correction delta, match stats,
-  /// per-layer cycle attribution, and kPop events. Returns cycles spent.
-  std::uint64_t replay(const DecodeOutcome& outcome);
-  /// Packages the just-recorded run into outcome_scratch_ for install()
-  /// (a reused member, so steady-state misses allocate nothing).
-  void build_outcome(std::uint64_t consumed);
 
   const PlanarLattice& lattice_;
   QecoolConfig config_;
@@ -235,25 +218,13 @@ class QecoolEngine {
   int row_ = 0;  // next row to scan in the current pass
 
   obs::Track* obs_track_ = nullptr;  ///< kPop sink; null = tracing off
-  obs::Profiler* profiler_ = nullptr;  ///< kCache stage timer; null = off
   EngineProbe* probe_ = nullptr;     ///< invariant hook; null = disabled
   std::uint64_t cycles_ = 0;
   std::uint64_t last_pop_cycles_ = 0;
   std::vector<std::uint64_t> layer_cycles_;
   MatchStats stats_;
   std::vector<MatchEvent> trace_;
-
-  // Decode-window memoization (DESIGN.md section 13).
-  DecodeCache* cache_ = nullptr;  ///< non-owning; null = memoization off
-  DecodeCacheStats cache_stats_;
-  std::uint64_t cache_seed_ = 0;  ///< config digest folded into every hash
-  bool recording_ = false;        ///< run_scan feeding the install scratch
-  std::uint64_t run_start_cycles_ = 0;
-  std::vector<std::uint64_t> key_;  ///< canonical key scratch (reused)
-  PackedBits corr_before_;          ///< pre-run correction snapshot
-  std::vector<std::uint64_t> pop_offsets_scratch_;
-  std::vector<std::uint32_t> match_scratch_;
-  DecodeOutcome outcome_scratch_;   ///< install staging (reused)
+  EngineStats engine_stats_;
 };
 
 }  // namespace qec

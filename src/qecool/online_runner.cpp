@@ -1,6 +1,5 @@
 #include "qecool/online_runner.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 namespace qec {
@@ -9,7 +8,8 @@ OnlineStepper::OnlineStepper(const PlanarLattice& lattice,
                              const OnlineConfig& config)
     : engine_(lattice, config.engine),
       clean_(static_cast<std::size_t>(lattice.num_checks())),
-      per_round_(config.cycles_per_round) {}
+      per_round_(config.cycles_per_round),
+      test_fault_(config.engine.test_fault) {}
 
 bool OnlineStepper::note_push(bool accepted) {
   if (!accepted) {
@@ -93,6 +93,12 @@ void OnlineStepper::resume() {
     throw std::logic_error("online stepper: resume() without checkpoint()");
   }
   paused_ = false;
+  // Planted state-restore bug for the fuzz self-check (docs/fuzzing.md):
+  // the resumed lane has lost its newest layer, so it pops one layer
+  // fewer than a run that never paused. The checkpoint oracle must see it.
+  if (test_fault_ == QecoolConfig::kFaultCheckpointResume) {
+    engine_.drop_newest_layer();
+  }
 }
 
 OnlineResult OnlineStepper::result() const {
@@ -110,11 +116,6 @@ OnlineResult run_online(const PlanarLattice& lattice,
                         const SyndromeHistory& history,
                         const OnlineConfig& config) {
   OnlineStepper stepper(lattice, config);
-  std::unique_ptr<DecodeCache> cache;
-  if (config.engine.cache.enabled && config.engine.cache.entries > 0) {
-    cache = std::make_unique<DecodeCache>(config.engine.cache.entries);
-    stepper.set_decode_cache(cache.get());
-  }
   for (const auto& layer : history.difference) {
     if (!stepper.step(layer)) break;
   }

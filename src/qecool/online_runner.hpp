@@ -138,16 +138,6 @@ class OnlineStepper {
   /// engine so popped layers emit kPop events. Null disables tracing.
   void set_obs_track(obs::Track* track) { engine_.set_obs_track(track); }
 
-  /// Wall-clock profiling hook: forwards the profiler to the engine so the
-  /// decode-cache probe/install path is timed under Stage::kCache.
-  void set_profiler(obs::Profiler* profiler) { engine_.set_profiler(profiler); }
-
-  /// Decode-window memoization hook: forwards a (possibly shared) cache
-  /// shard to the engine. The owner guarantees single-threaded access —
-  /// the streaming service does so by executing each shard's lane block
-  /// sequentially. Null disables memoization.
-  void set_decode_cache(DecodeCache* cache) { engine_.set_decode_cache(cache); }
-
   /// Invariant/coverage hook (qecool/probe.hpp): forwards the probe to the
   /// engine. The fuzz oracle harness attaches one per lane. Null disables.
   void set_probe(EngineProbe* probe) { engine_.set_probe(probe); }
@@ -177,6 +167,7 @@ class OnlineStepper {
   double carry_ = 0.0;      ///< fractional budget carried across rounds.
   bool overflow_ = false;
   bool paused_ = false;     ///< logical clock frozen by admission control.
+  int test_fault_ = QecoolConfig::kFaultNone;  ///< fuzz self-check only
   int rounds_ = 0;
   int last_spend_pops_ = 0;  ///< layers popped by the most recent spend().
 };

@@ -8,6 +8,7 @@
 // count and scheduling.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -71,5 +72,24 @@ std::shared_ptr<ThreadPool> shared_pool(int min_threads);
 /// concurrent workers of the shared pool (inline when threads resolves to
 /// 1 or tasks <= 1).
 void parallel_for(int tasks, int threads, const std::function<void(int)>& fn);
+
+/// parallel_for over contiguous blocks: [0, n) is split into
+/// min(n, 4 * resolve_threads(threads)) blocks of near-equal size, each
+/// worker claims whole blocks and runs a block's indices in order. Use it
+/// where neighbouring indices write neighbouring memory (per-lane slots of
+/// a shared array): per-index claims would interleave those writes across
+/// threads and bounce the cache lines between them. The extra blocks per
+/// thread keep uneven per-index cost balanced.
+template <typename Body>
+void parallel_for_blocks(int n, int threads, Body&& body) {
+  if (n <= 0) return;
+  const int blocks = std::min(n, 4 * resolve_threads(threads));
+  parallel_for(blocks, threads, [&](int b) {
+    const auto span = static_cast<std::int64_t>(n);
+    const auto first = static_cast<int>(span * b / blocks);
+    const auto last = static_cast<int>(span * (b + 1) / blocks);
+    for (int i = first; i < last; ++i) body(i);
+  });
+}
 
 }  // namespace qec

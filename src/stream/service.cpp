@@ -8,7 +8,6 @@
 
 #include "decoder/registry.hpp"
 #include "obs/postmortem.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/online_runner.hpp"
 #include "sim/executor.hpp"
 #include "stream/admission.hpp"
@@ -87,20 +86,6 @@ struct Lane {
   /// the reduction consumes the delta in fixed round order, so the
   /// windowed histogram is invariant under threads and batching.
   std::size_t obs_consumed = 0;
-
-  /// Decode-cache counters already fed to the metrics registry (same
-  /// cumulative-snapshot / consume-delta pattern as obs_consumed).
-  DecodeCacheStats cache_consumed;
-};
-
-/// How the decode cache is sharded over the lane fleet: lanes
-/// [s * block, (s + 1) * block) share shard s and execute sequentially on
-/// whichever worker claims the shard, so cache contents are a pure
-/// function of (trace, config) — independent of the worker thread count.
-struct CacheLayout {
-  bool enabled = false;
-  int shards = 0;
-  int block = 0;  ///< lanes per shard (last shard may be short)
 };
 
 /// Orchestrates the shared engine pool over one run: per dispatch it asks
@@ -113,26 +98,20 @@ class PoolScheduler {
  public:
   PoolScheduler(std::vector<Lane>& lanes, SchedulerPolicy& policy, int engines,
                 const StreamConfig& config, const AdmissionConfig& admission,
-                const CacheLayout& cache, StreamTelemetry& telemetry,
+                StreamTelemetry& telemetry,
                 obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                 obs::Profiler* profiler)
       : lanes_(lanes),
         policy_(policy),
         config_(config),
         admission_(admission),
-        cache_(cache),
         telemetry_(telemetry),
         tracer_(tracer),
         metrics_(metrics),
         profiler_(profiler),
         engines_(engines),
-        // A shared cache shard makes per-lane hit counters sensitive to
-        // execution order, so the cache clamps the batch to 1 like a
-        // dynamic policy does — outcomes never depended on the batch;
-        // this keeps the cache CSV independent of it too.
-        batch_(policy.dynamic() || cache.enabled
-                   ? 1
-                   : std::max(1, config.rounds_per_dispatch)) {
+        batch_(policy.dynamic() ? 1
+                                : std::max(1, config.rounds_per_dispatch)) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
     for (int e = 0; e < engines_; ++e) {
       telemetry_.engine_stats[static_cast<std::size_t>(e)].engine = e;
@@ -157,17 +136,6 @@ class PoolScheduler {
       m_overflowed_ = metrics_->add_gauge("overflowed_lanes");
       m_depth_ = metrics_->add_histogram("depth");
       m_sojourn_ = metrics_->add_histogram("sojourn");
-      // Decode-cache counters append after the PR 7 instruments so the
-      // established column order is untouched. They stay registered (all
-      // zero except the fast-path counters) when the cache is off, so the
-      // metrics CSV header does not depend on the cache spec.
-      m_cache_hits_ = metrics_->add_counter("cache_hits");
-      m_cache_misses_ = metrics_->add_counter("cache_misses");
-      m_cache_installs_ = metrics_->add_counter("cache_installs");
-      m_cache_evictions_ = metrics_->add_counter("cache_evictions");
-      m_cache_zero_rounds_ = metrics_->add_counter("cache_zero_rounds");
-      m_cache_zero_pushes_ = metrics_->add_counter("cache_zero_pushes");
-      m_cache_bypasses_ = metrics_->add_counter("cache_bypasses");
       // Wall-clock profile feed: registered only when profiling is on, so
       // the default metrics CSV schema is untouched — and these columns
       // are the ONE part of the CSV exempt from the byte-identical
@@ -178,9 +146,8 @@ class PoolScheduler {
         m_prof_[0] = metrics_->add_counter("prof_dispatch_ns");
         m_prof_[1] = metrics_->add_counter("prof_lane_ns");
         m_prof_[2] = metrics_->add_counter("prof_reduce_ns");
-        m_prof_[3] = metrics_->add_counter("prof_cache_ns");
-        m_prof_[4] = metrics_->add_counter("prof_telemetry_ns");
-        m_prof_[5] = metrics_->add_counter("prof_export_ns");
+        m_prof_[3] = metrics_->add_counter("prof_telemetry_ns");
+        m_prof_[4] = metrics_->add_counter("prof_export_ns");
       }
     }
   }
@@ -202,7 +169,6 @@ class PoolScheduler {
     if (metrics_) {
       pops_.assign(slots, 0);
       samples_after_.assign(slots, 0);
-      cache_after_.assign(slots, DecodeCacheStats{});
     }
 
     {
@@ -259,10 +225,9 @@ class PoolScheduler {
       }
     }
 
-    // Lane-parallel execution; every write below lands in lane-local
-    // state or the lane's own scratch slots. (Shard-sequential when the
-    // decode cache is on: see for_lanes.)
-    for_lanes(n, [&](int i) {
+    // Lane-parallel execution in contiguous lane blocks; every write below
+    // lands in lane-local state or the lane's own scratch slots.
+    parallel_for_blocks(n, config_.threads, [&](int i) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
       Lane& lane = lanes_[static_cast<std::size_t>(i)];
       for (int r = 0; r < count; ++r) {
@@ -319,7 +284,6 @@ class PoolScheduler {
         depth_scratch_[idx] = lane.stepper.engine().stored_layers();
         if (metrics_) {
           samples_after_[idx] = lane.qos.samples().size();
-          cache_after_[idx] = lane.stepper.engine().cache_stats();
         }
         flags_[idx] = flags;
       }
@@ -357,8 +321,6 @@ class PoolScheduler {
                             static_cast<std::uint64_t>(depth_scratch_[idx]));
           consume_sojourn(lanes_[static_cast<std::size_t>(i)],
                           samples_after_[idx]);
-          consume_cache(lanes_[static_cast<std::size_t>(i)],
-                        cache_after_[idx]);
         }
       }
       sample.overflowed_lanes = overflowed_so_far_;
@@ -419,7 +381,6 @@ class PoolScheduler {
     if (metrics_) {
       pops_.assign(static_cast<std::size_t>(n), 0);
       samples_after_.assign(static_cast<std::size_t>(n), 0);
-      cache_after_.assign(static_cast<std::size_t>(n), DecodeCacheStats{});
     }
 
     std::unique_ptr<obs::ScopedStage> prof_assign;
@@ -545,9 +506,9 @@ class PoolScheduler {
     }
     prof_assign.reset();
 
-    // Lane-parallel execution; writes stay lane-local (shard-sequential
-    // when the decode cache is on: see for_lanes).
-    for_lanes(n, [&](int i) {
+    // Lane-parallel execution in contiguous lane blocks; writes stay
+    // lane-local.
+    parallel_for_blocks(n, config_.threads, [&](int i) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
       Lane& lane = lanes_[static_cast<std::size_t>(i)];
       const auto idx = static_cast<std::size_t>(i);
@@ -624,7 +585,6 @@ class PoolScheduler {
       depth_scratch_[idx] = lane.stepper.engine().stored_layers();
       if (metrics_) {
         samples_after_[idx] = lane.qos.samples().size();
-        cache_after_[idx] = lane.stepper.engine().cache_stats();
       }
       flags_[idx] = flags;
     });
@@ -667,7 +627,6 @@ class PoolScheduler {
         metrics_->observe(m_depth_,
                           static_cast<std::uint64_t>(depth_scratch_[idx]));
         consume_sojourn(lanes_[idx], samples_after_[idx]);
-        consume_cache(lanes_[idx], cache_after_[idx]);
       }
     }
     sample.overflowed_lanes = overflowed_so_far_;
@@ -720,24 +679,6 @@ class PoolScheduler {
     lane.obs_consumed = upto;
   }
 
-  /// Feeds the delta between the lane's cumulative decode-cache counters
-  /// and what was already consumed to the metrics registry. Same fixed
-  /// reduction order as consume_sojourn, so window attribution never
-  /// depends on threads or batching.
-  void consume_cache(Lane& lane, const DecodeCacheStats& after) {
-    const DecodeCacheStats& before = lane.cache_consumed;
-    metrics_->count(m_cache_hits_, after.hits - before.hits);
-    metrics_->count(m_cache_misses_, after.misses - before.misses);
-    metrics_->count(m_cache_installs_, after.installs - before.installs);
-    metrics_->count(m_cache_evictions_, after.evictions - before.evictions);
-    metrics_->count(m_cache_zero_rounds_,
-                    after.zero_rounds - before.zero_rounds);
-    metrics_->count(m_cache_zero_pushes_,
-                    after.zero_pushes - before.zero_pushes);
-    metrics_->count(m_cache_bypasses_, after.bypasses - before.bypasses);
-    lane.cache_consumed = after;
-  }
-
   /// Feeds the wall-clock nanoseconds accrued since the previous feed into
   /// the prof_* counters, so each metrics window carries its own share.
   /// Scopes still open when this runs (the enclosing reduction, the
@@ -751,24 +692,6 @@ class PoolScheduler {
     }
   }
 
-  /// The lane-parallel region: a plain parallel_for over lanes, unless the
-  /// decode cache is on — then the unit of parallelism is the cache shard
-  /// and the lanes sharing a shard run sequentially in lane order, so
-  /// shard contents (and every hit/miss counter) are independent of the
-  /// worker-thread count.
-  template <typename Body>
-  void for_lanes(int n, Body&& body) {
-    if (!cache_.enabled) {
-      parallel_for(n, config_.threads, body);
-      return;
-    }
-    parallel_for(cache_.shards, config_.threads, [&](int s) {
-      const int first = s * cache_.block;
-      const int last = std::min(n, first + cache_.block);
-      for (int i = first; i < last; ++i) body(i);
-    });
-  }
-
   static constexpr std::uint8_t kActive = 1;   ///< lane took part in the round
   static constexpr std::uint8_t kPushed = 2;   ///< layer accepted (no overflow)
   static constexpr std::uint8_t kServed = 4;   ///< consumed an engine grant
@@ -780,7 +703,6 @@ class PoolScheduler {
   SchedulerPolicy& policy_;
   const StreamConfig& config_;
   const AdmissionConfig admission_;
-  const CacheLayout cache_;
   StreamTelemetry& telemetry_;
   obs::Tracer* const tracer_ = nullptr;            ///< null = tracing off
   obs::MetricsRegistry* const metrics_ = nullptr;  ///< null = metrics off
@@ -803,13 +725,6 @@ class PoolScheduler {
   int m_overflowed_ = -1;
   int m_depth_ = -1;
   int m_sojourn_ = -1;
-  int m_cache_hits_ = -1;
-  int m_cache_misses_ = -1;
-  int m_cache_installs_ = -1;
-  int m_cache_evictions_ = -1;
-  int m_cache_zero_rounds_ = -1;
-  int m_cache_zero_pushes_ = -1;
-  int m_cache_bypasses_ = -1;
   std::array<int, obs::kStageCount> m_prof_{};  ///< per-stage nanos counters
 
   std::vector<int> depth_;             // pre-round, for the policy view
@@ -825,7 +740,6 @@ class PoolScheduler {
   std::vector<int> served_;            // tracer: per-round consumed grants
   std::vector<int> pops_;              // metrics: [lane][round] layers popped
   std::vector<std::size_t> samples_after_;  // metrics: cumulative sojourn count
-  std::vector<DecodeCacheStats> cache_after_;  // metrics: cumulative cache stats
 };
 
 std::string json_string(const std::string& text) {
@@ -868,7 +782,6 @@ std::string stream_config_json(const StreamConfig& config, int trace_rounds,
          std::to_string(config.rounds_per_dispatch);
   out += ", \"admission\": " + json_string(config.admission);
   out += ", \"budget_w\": " + json_double(config.budget_w);
-  out += ", \"cache\": " + json_string(config.cache);
   out += ", \"threads\": " + std::to_string(config.threads);
   out += ", \"obs\": {";
   out += "\"trace\": ";
@@ -904,7 +817,7 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   header.p_meas = config.p;
 
   SyndromeTrace trace(header);
-  parallel_for(config.lanes, config.threads, [&](int lane) {
+  parallel_for_blocks(config.lanes, config.threads, [&](int lane) {
     Xoshiro256ss rng = lane_rng(config, lane, noisy_rounds);
     PhenomenologicalSampler sampler(lattice,
                                     {config.p, config.p, noisy_rounds});
@@ -943,18 +856,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   const bool slo_enabled = !config.obs.slo.empty();
   obs::SloConfig slo_config;
   if (slo_enabled) slo_config = obs::parse_slo_spec(config.obs.slo);
-  // Decode-window memoization: config.cache overrides the engine spec's
-  // cache block when present (also validated eagerly, before any lane
-  // exists). record_trace engines bypass the cache, so treat that as off.
-  DecodeCacheConfig cache_cfg = engine_config.cache;
-  if (!config.cache.empty()) cache_cfg = parse_decode_cache_spec(config.cache);
-  CacheLayout cache_layout;
-  cache_layout.enabled = cache_cfg.enabled && cache_cfg.entries > 0 &&
-                         !engine_config.record_trace;
-  if (cache_layout.enabled) {
-    cache_layout.shards = decode_cache_shard_count(cache_cfg, n);
-    cache_layout.block = (n + cache_layout.shards - 1) / cache_layout.shards;
-  }
   int engines = config.engines <= 0 ? n : config.engines;
 
   // The pool size is ultimately a watts decision: a positive budget_w
@@ -1001,22 +902,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     }
   }
 
-  // Cache shards: lanes [s * block, (s + 1) * block) share shard s. The
-  // shard count is a pure function of the config (never of --threads), so
-  // which windows collide in a shard — and thus every hit/miss counter —
-  // is reproducible across machines.
-  std::vector<DecodeCache> cache_shards;
-  if (cache_layout.enabled) {
-    cache_shards.reserve(static_cast<std::size_t>(cache_layout.shards));
-    for (int s = 0; s < cache_layout.shards; ++s) {
-      cache_shards.emplace_back(cache_cfg.entries);
-    }
-    for (int i = 0; i < n; ++i) {
-      lanes[static_cast<std::size_t>(i)].stepper.set_decode_cache(
-          &cache_shards[static_cast<std::size_t>(i / cache_layout.block)]);
-    }
-  }
-
   StreamOutcome outcome;
   if (config.obs.trace) {
     outcome.tracer = std::make_shared<obs::Tracer>(
@@ -1037,9 +922,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   if (config.obs.profile) {
     outcome.profiler = std::make_shared<obs::Profiler>(
         static_cast<std::size_t>(std::max(1, config.obs.profile_ring)));
-    for (auto& lane : lanes) {
-      lane.stepper.set_profiler(outcome.profiler.get());  // kCache stage
-    }
   }
   outcome.telemetry.distance = static_cast<int>(trace.header().distance);
   outcome.telemetry.p = trace.header().p_data;
@@ -1048,13 +930,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   outcome.telemetry.engine = config.engine;
   outcome.telemetry.policy = config.policy;
   outcome.telemetry.admission = config.admission;
-  if (cache_layout.enabled) {
-    DecodeCacheConfig resolved = cache_cfg;
-    resolved.shards = cache_layout.shards;
-    outcome.telemetry.cache = decode_cache_spec_string(resolved);
-  } else {
-    outcome.telemetry.cache = "off";
-  }
   outcome.telemetry.engines = engines;
   outcome.telemetry.budget_w = config.budget_w;
   if (freq_hz > 0) {
@@ -1065,7 +940,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   }
 
   PoolScheduler scheduler(lanes, *policy, engines, config, admission,
-                          cache_layout, outcome.telemetry,
+                          outcome.telemetry,
                           outcome.tracer.get(), outcome.metrics.get(),
                           outcome.profiler.get());
 
@@ -1141,7 +1016,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   // Finalize each lane (the logical scoring decodes nothing, but keep it
   // in the parallel region: it is per-lane work too).
   const bool pause_mode = admission.pause();
-  parallel_for(n, config.threads, [&](int i) {
+  parallel_for_blocks(n, config.threads, [&](int i) {
     obs::ScopedStage prof(outcome.profiler.get(), obs::Stage::kLaneExecute);
     Lane& lane = lanes[static_cast<std::size_t>(i)];
     const OnlineResult result = lane.stepper.result();
@@ -1165,7 +1040,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     t.layer_cycles = result.layer_cycles;
     t.sojourn_rounds = lane.qos.take_samples();
     t.matches = result.matches;
-    t.cache = lane.stepper.engine().cache_stats();
     if (!result.overflow && drained) {
       SyndromeHistory truth;
       truth.final_error = trace.final_error(i);

@@ -138,18 +138,6 @@ struct StreamConfig {
   /// not even one engine fits. <= 0 leaves K uncapped.
   double budget_w = 0.0;
 
-  /// Decode-window memoization spec override, resolved via
-  /// parse_decode_cache_spec(): "" defers to the engine spec (whose
-  /// default is on), "off" disables (byte-identical to the uncached
-  /// engine), "on" / "clock[:entries=N,shards=S]" configures the bounded
-  /// CLOCK cache. Lanes are split into `shards` contiguous blocks, each
-  /// sharing one shard and executing sequentially, so cache contents —
-  /// and the cache CSV — never depend on --threads. With the cache on,
-  /// rounds_per_dispatch clamps to 1 for the same reason (outcomes never
-  /// depend on it; shared-shard hit counters would). See
-  /// qecool/decode_cache.hpp and DESIGN.md section 13.
-  std::string cache;
-
   /// Worker threads (<= 0: all hardware threads). Never changes results.
   int threads = 1;
 

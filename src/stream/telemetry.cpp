@@ -58,7 +58,6 @@ void LaneTelemetry::merge(const LaneTelemetry& other) {
   sojourn_rounds.insert(sojourn_rounds.end(), other.sojourn_rounds.begin(),
                         other.sojourn_rounds.end());
   matches.merge(other.matches);
-  cache.merge(other.cache);
 }
 
 LaneTelemetry StreamTelemetry::aggregate() const {
@@ -263,26 +262,6 @@ bool StreamTelemetry::write_latency_csv(const std::string& path) const {
 
   for (const auto& lane : lanes) emit(lane, std::to_string(lane.lane));
   emit(aggregate(), "all");
-  csv.flush();
-  return true;
-}
-
-bool StreamTelemetry::write_cache_csv(const std::string& path) const {
-  CsvWriter csv(path, {"lane", "distance", "p", "engine", "cache", "hits",
-                       "misses", "hit_rate", "installs", "evictions",
-                       "zero_rounds", "zero_pushes", "bypasses"});
-  if (!csv.ok()) return false;
-
-  const auto emit = [&](const DecodeCacheStats& s, const std::string& label) {
-    csv.add_row({label, std::to_string(distance), fmt_double(p), engine,
-                 cache, std::to_string(s.hits), std::to_string(s.misses),
-                 fmt_double(s.hit_rate(), "%.4f"), std::to_string(s.installs),
-                 std::to_string(s.evictions), std::to_string(s.zero_rounds),
-                 std::to_string(s.zero_pushes), std::to_string(s.bypasses)});
-  };
-
-  for (const auto& lane : lanes) emit(lane.cache, std::to_string(lane.lane));
-  emit(aggregate().cache, "all");
   csv.flush();
   return true;
 }

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "qecool/decode_cache.hpp"
 
 namespace qec {
 
@@ -67,10 +66,6 @@ struct LaneTelemetry {
   /// spent frozen by admission control (stream/qos.hpp LatencyTracker).
   std::vector<std::uint64_t> sojourn_rounds;
   MatchStats matches;
-  /// The lane engine's decode-window memoization counters (its own
-  /// lookups, meaningful even when lanes share a cache shard; all zero
-  /// except zero_rounds/zero_pushes when the cache is off).
-  DecodeCacheStats cache;
 
   /// A lane fails when it overflowed, failed to drain, or drained to a
   /// logically wrong correction.
@@ -141,9 +136,6 @@ struct StreamTelemetry {
   std::string engine = "qecool";
   std::string policy = "dedicated";
   std::string admission = "overflow";  ///< admission spec (PR 4)
-  /// Resolved decode-cache spec ("off" or "clock:entries=N,shards=S" with
-  /// the shard count the service materialized).
-  std::string cache = "off";
   int engines = 0;   ///< pool size K
   double watts = 0.0;     ///< modelled pool dissipation (0: clock unknown)
   double budget_w = 0.0;  ///< configured power budget (<= 0: uncapped)
@@ -193,12 +185,6 @@ struct StreamTelemetry {
   /// rounds over the lane's decoded trace layers — paused lanes included
   /// (their samples span the freeze). See docs/streaming.md §3.4.
   bool write_latency_csv(const std::string& path) const;
-
-  /// Decode-cache report: one row per lane plus a final "all" aggregate
-  /// row with hit/miss/install/evict counters, the hit rate, and the
-  /// all-zero fast-path counters (which advance even with the cache off).
-  /// write_csv's column set is frozen, so the cache columns live here.
-  bool write_cache_csv(const std::string& path) const;
 };
 
 }  // namespace qec

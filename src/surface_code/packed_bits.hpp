@@ -98,9 +98,9 @@ class PackedBits {
   std::size_t num_words() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
 
-  /// Whole-word mutators (the decode-cache replay path writes Reg layers
-  /// and correction deltas word-at-a-time). The value must respect the
-  /// tail-zero invariant — callers pass words read from a same-sized
+  /// Whole-word mutators (the noise sampler, the fuzz minimizer and the
+  /// engine's occupancy scan write words directly). The value must respect
+  /// the tail-zero invariant — callers pass words read from a same-sized
   /// PackedBits.
   void set_word(std::size_t w, std::uint64_t value) {
     assert(w < words_.size());

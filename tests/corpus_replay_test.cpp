@@ -37,7 +37,7 @@ TEST(CorpusReplay, CorpusIsPresent) {
 
 TEST(CorpusReplay, EveryEntryPassesAllOracles) {
   // The replay matrix: unconstrained and budgeted service rates. Every
-  // arm disagreement — cache off/on, packed/unpacked, checkpoint/resume,
+  // arm disagreement — packed/unpacked, checkpoint/resume,
   // invariants, bit-op backends — fails the entry.
   for (const double cycles : {0.0, 4.0}) {
     const ReplayReport report =
@@ -103,22 +103,25 @@ FuzzConfig self_check_config(int fault) {
   return config;
 }
 
-TEST(FuzzSelfCheck, PlantedCacheReplayBugIsFoundAndShrunk) {
-  // kFaultCacheReplay drops the correction delta when a decode window
-  // replays from the cache — invisible to everything except the cache
-  // differential oracles. The fuzzer must find a violating trace within
-  // a bounded run and the minimizer must shrink it hard.
+TEST(FuzzSelfCheck, PlantedCheckpointResumeBugIsFoundAndShrunk) {
+  // kFaultCheckpointResume drops the newest resident Reg layer when a
+  // paused lane resumes — invisible to everything except the checkpoint
+  // oracle, which compares a paused-and-resumed run with the baseline.
+  // The fuzzer must find a violating trace within a bounded run and the
+  // minimizer must shrink it hard.
   const FuzzStats stats =
-      run_fuzzer(self_check_config(QecoolConfig::kFaultCacheReplay));
+      run_fuzzer(self_check_config(QecoolConfig::kFaultCheckpointResume));
   ASSERT_TRUE(stats.found_failure())
-      << "the oracle battery cannot see a planted cache-replay bug";
+      << "the oracle battery cannot see a planted checkpoint-resume bug";
   const FuzzFailure& failure = stats.failures.front();
+  EXPECT_NE(failure.summary.find("checkpoint"), std::string::npos)
+      << failure.summary;
   EXPECT_LE(failure.minimized.lanes(), 2);
   EXPECT_LE(failure.minimized.rounds(), 8);
 
   // The reproducer is real: it fails with the fault, passes without.
   OracleConfig with_fault = replay_config(4.0);
-  with_fault.fault = QecoolConfig::kFaultCacheReplay;
+  with_fault.fault = QecoolConfig::kFaultCheckpointResume;
   EXPECT_FALSE(run_oracles(failure.minimized, with_fault).ok());
   EXPECT_TRUE(run_oracles(failure.minimized, replay_config(4.0)).ok());
 }

@@ -3,7 +3,9 @@
 // merge primitives it relies on must agree with their streaming forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -117,6 +119,37 @@ TEST(ParallelExecutor, RunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
   parallel_for(64, 4, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelExecutor, BlocksCoverTheRangeInContiguousOrderedRuns) {
+  for (const int n : {0, 1, 13, 100}) {
+    for (const int threads : {1, 2, 3, 4}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      std::vector<std::thread::id> owner(static_cast<std::size_t>(n));
+      std::vector<int> stamp(static_cast<std::size_t>(n));
+      std::atomic<int> clock{0};
+      parallel_for_blocks(n, threads, [&](int i) {
+        const auto k = static_cast<std::size_t>(i);
+        ++hits[k];
+        owner[k] = std::this_thread::get_id();
+        stamp[k] = clock++;
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+      // min(n, 4 * threads) blocks of near-equal size; one worker runs a
+      // block's indices in ascending order.
+      const int blocks = std::min(n, 4 * threads);
+      for (int b = 0; b < blocks; ++b) {
+        const int first = n * b / blocks;
+        const int last = n * (b + 1) / blocks;
+        EXPECT_LT(first, last) << "empty block, n=" << n;
+        for (int i = first + 1; i < last; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          EXPECT_EQ(owner[k], owner[k - 1]) << "n=" << n << " i=" << i;
+          EXPECT_GT(stamp[k], stamp[k - 1]) << "n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelExecutor, PropagatesExceptions) {

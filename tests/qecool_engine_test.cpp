@@ -52,6 +52,26 @@ TEST(QecoolEngine, CleanLayerCostsAboutOnePass) {
   EXPECT_EQ(engine.layer_cycles()[0], 5u + 1u + 1u);
 }
 
+TEST(QecoolEngine, FastPathCountersTrackCleanPushesAndRuns) {
+  const PlanarLattice lat(5);
+  QecoolEngine engine(lat, batch_config(4));
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
+  PackedBits defect = clean;
+  defect.set(0);
+  engine.push_layer(clean);
+  engine.push_layer(clean);
+  engine.run(QecoolEngine::kUnlimited);  // all clear: the analytic path
+  EXPECT_EQ(engine.engine_stats().zero_pushes, 2u);
+  EXPECT_EQ(engine.engine_stats().zero_rounds, 1u);
+  engine.push_layer(defect);
+  engine.run(QecoolEngine::kUnlimited);  // a defect: the scan
+  EXPECT_EQ(engine.engine_stats().zero_pushes, 2u);
+  EXPECT_EQ(engine.engine_stats().zero_rounds, 1u);
+  engine.run(QecoolEngine::kUnlimited);  // nothing stored: no run at all
+  EXPECT_EQ(engine.engine_stats().zero_rounds, 1u);
+  EXPECT_TRUE(engine.all_clear());
+}
+
 TEST(QecoolEngine, AdjacentPairMatchesAtHopLimitOne) {
   const PlanarLattice lat(5);
   QecoolEngine engine(lat, batch_config(1));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "decoder/registry.hpp"
 #include "mwpm/mwpm_decoder.hpp"
@@ -30,6 +32,28 @@ TEST(Registry, UnknownNameThrows) {
 TEST(Registry, UnknownOptionThrows) {
   EXPECT_THROW(make_decoder("qecool:tvh=3"), std::invalid_argument);
   EXPECT_THROW(make_decoder("mwpm:window=4"), std::invalid_argument);
+}
+
+TEST(Registry, RemovedCacheOptionsAreNamedErrors) {
+  // The decode-window cache is gone; its spec keys must fail loudly and
+  // name themselves rather than be silently accepted.
+  const std::pair<const char*, const char*> cases[] = {
+      {"qecool:cache=on", "'cache'"},
+      {"qecool:cache_entries=8", "'cache_entries'"},
+  };
+  for (const auto& [spec, key] : cases) {
+    try {
+      make_decoder(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      // The vocabulary hint lists only the options that still exist.
+      const auto hint = what.find("(options:");
+      ASSERT_NE(hint, std::string::npos) << what;
+      EXPECT_EQ(what.find("cache", hint), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Registry, MalformedOptionsThrow) {

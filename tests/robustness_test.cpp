@@ -1,7 +1,14 @@
 // Robustness / fuzz-style tests: random configurations and budgets must
-// never crash, spin, or produce syndrome-inconsistent corrections.
+// never crash, spin, or produce syndrome-inconsistent corrections, and
+// retired command-line flags must fail loudly instead of being ignored.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
+
+#include "common/cli.hpp"
 #include "decoder/decoder.hpp"
 #include "mwpm/blossom.hpp"
 #include "noise/phenomenological.hpp"
@@ -113,6 +120,50 @@ TEST(OnlineFuzz, OverflowImpliesOperationalFailure) {
     }
   }
   EXPECT_TRUE(saw_overflow);
+}
+
+TEST(RemovedFlags, HelperFlagsEveryRetiredFlagPresent) {
+  const char* with_cache[] = {"prog", "--lanes=4", "--cache=on"};
+  EXPECT_TRUE(reject_removed_flags(CliArgs(3, with_cache), "prog",
+                                   {"cache", "cache-csv"}, "retired"));
+  const char* bare[] = {"prog", "--cache-csv"};
+  EXPECT_TRUE(reject_removed_flags(CliArgs(2, bare), "prog",
+                                   {"cache", "cache-csv"}, "retired"));
+  const char* clean[] = {"prog", "--lanes=4", "--csv=out.csv"};
+  EXPECT_FALSE(reject_removed_flags(CliArgs(3, clean), "prog",
+                                    {"cache", "cache-csv"}, "retired"));
+}
+
+/// Runs `command` with stderr folded into stdout; returns (exit status,
+/// output). Status -1 when the process did not exit normally.
+std::pair<int, std::string> run_command(const std::string& command) {
+  FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string output;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) output += buffer;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+TEST(RemovedFlags, CacheFlagsFailTheBinariesThatTookThem) {
+  // CliArgs keeps unknown flags, so without the explicit rejection an old
+  // command line (e.g. a CI step passing --cache=on) would run and pass
+  // without testing what it names.
+  for (const char* binary : {QEC_STREAM_SOAK, QEC_LANE_SCALING,
+                             QEC_ENGINE_FUZZ}) {
+    for (const auto& [flag, name] :
+         {std::pair<const char*, const char*>{"--cache=on", "--cache "},
+          std::pair<const char*, const char*>{"--cache-csv=unused.csv",
+                                              "--cache-csv "}}) {
+      const auto [status, output] =
+          run_command(std::string(binary) + " " + flag);
+      EXPECT_NE(status, 0) << binary << " " << flag << "\n" << output;
+      EXPECT_NE(output.find(std::string(name) + "was removed"),
+                std::string::npos)
+          << binary << " " << flag << "\n" << output;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <string>
 
 #include "common/stats.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/metrics.hpp"
 #include "qecool/online_runner.hpp"
 #include "surface_code/planar_lattice.hpp"
 
@@ -82,6 +84,63 @@ TEST(StreamService, ThreadCountNeverChangesOutcomeOrCsv) {
   StreamConfig rec = base_config();
   rec.threads = 4;
   EXPECT_TRUE(trace == record_trace(rec));
+}
+
+TEST(StreamService, BlockedLaneExecutionIsThreadCountInvariant) {
+  // The lane-parallel regions split [0, lanes) into min(lanes, 4 * threads)
+  // contiguous blocks. 13 lanes divide evenly into none of the block
+  // counts at 1-3 threads (4, 8, 12 blocks), so uneven and remainder
+  // blocks run; 4 threads give 13 single-lane blocks. A shared fq pool
+  // under codel admission exercises the dispatch, the admission path and
+  // every export.
+  StreamConfig config = base_config();
+  config.lanes = 13;
+  config.rounds = 24;
+  config.engines = 4;
+  config.policy = "fq";
+  config.admission = "codel";
+  config.cycles_per_round = cycles_per_microsecond(20e6);
+  config.obs.trace = true;
+  config.obs.metrics = true;
+  config.obs.metrics_window = 8;
+  const auto trace = record_trace(config);
+
+  const auto exports = [&](int threads) {
+    StreamConfig c = config;
+    c.threads = threads;
+    EXPECT_TRUE(trace == record_trace(c)) << "threads=" << threads;
+    const auto outcome = run_stream(trace, c);
+    EXPECT_GT(outcome.telemetry.ever_paused_lanes(), 0);
+    const std::string prefix = "blocked_t" + std::to_string(threads);
+    const auto read_export = [&](const char* what, bool written) {
+      const std::string path = temp_path((prefix + what).c_str());
+      EXPECT_TRUE(written) << path;
+      std::string text = read_all(path);
+      std::remove(path.c_str());
+      return std::string(what) + ":\n" + text;
+    };
+    const auto path = [&](const char* what) {
+      return temp_path((prefix + what).c_str());
+    };
+    std::string all;
+    all += read_export(".csv", outcome.telemetry.write_csv(path(".csv")));
+    all += read_export(".sched.csv",
+                       outcome.telemetry.write_schedule_csv(path(".sched.csv")));
+    all += read_export(".lat.csv",
+                       outcome.telemetry.write_latency_csv(path(".lat.csv")));
+    all += read_export(".tl.csv",
+                       outcome.telemetry.write_timeline_csv(path(".tl.csv")));
+    all += read_export(".metrics.csv",
+                       outcome.metrics->write_csv(path(".metrics.csv")));
+    all += read_export(".json", obs::write_chrome_trace(*outcome.tracer,
+                                                        path(".json")));
+    return all;
+  };
+
+  const std::string serial = exports(1);
+  for (const int threads : {2, 3, 4}) {
+    EXPECT_EQ(exports(threads), serial) << "threads=" << threads;
+  }
 }
 
 TEST(StreamService, ReplayReproducesRecordedRunExactly) {

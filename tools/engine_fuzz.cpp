@@ -13,8 +13,8 @@
 //                     tests/corpus seeds come from this).
 //
 // CI runs: engine_fuzz --time-budget=30 --seed=1 (must find nothing) and
-// engine_fuzz --iters=N --inject-fault=cache-replay --expect-failure (the
-// harness self-check: a planted engine bug must be found).
+// engine_fuzz --iters=N --inject-fault=checkpoint-resume --expect-failure
+// (the harness self-check: a planted engine bug must be found).
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -45,14 +45,12 @@ constexpr const char* kOptions =
     "  --rounds=12          noisy rounds per seed trace\n"
     "  --cycles=4           per-round cycle budget of the oracle arms\n"
     "                       (0: unconstrained)\n"
-    "  --cache=clock        decode-cache arm: clock | off\n"
-    "  --thv=3              engine vertical threshold (-1: eager decode —\n"
-    "                       single-layer windows recur, so the cache hits)\n"
+    "  --thv=3              engine vertical threshold (-1: eager decode)\n"
     "  --corpus=DIR         extra seed traces (*.qtrc) to start from\n"
     "  --out=DIR            write failing inputs + minimized reproducers here\n"
     "  --no-minimize        keep failing inputs unshrunk\n"
-    "  --inject-fault=NAME  plant a test-only engine bug: cache-replay |\n"
-    "                       cycle-report (harness self-check)\n"
+    "  --inject-fault=NAME  plant a test-only engine bug: checkpoint-resume\n"
+    "                       | cycle-report (harness self-check)\n"
     "  --expect-failure     exit 0 iff the fuzz run FOUND a failure\n"
     "  --replay=DIR         replay mode: run every *.qtrc in DIR\n"
     "  --threads=1          replay worker threads\n"
@@ -77,7 +75,9 @@ std::vector<double> parse_doubles(const std::string& csv) {
 
 int parse_fault(const std::string& name) {
   if (name.empty() || name == "none") return qec::QecoolConfig::kFaultNone;
-  if (name == "cache-replay") return qec::QecoolConfig::kFaultCacheReplay;
+  if (name == "checkpoint-resume") {
+    return qec::QecoolConfig::kFaultCheckpointResume;
+  }
   if (name == "cycle-report") return qec::QecoolConfig::kFaultCycleReport;
   std::fprintf(stderr, "engine_fuzz: unknown --inject-fault=%s\n",
                name.c_str());
@@ -109,13 +109,6 @@ qec::fuzz::OracleConfig build_oracle(const qec::CliArgs& args) {
   qec::fuzz::OracleConfig oracle;
   oracle.online.cycles_per_round = args.get_double_or("cycles", 4.0);
   oracle.online.engine.thv = static_cast<int>(args.get_int_or("thv", 3));
-  const std::string cache = args.get_or("cache", "clock");
-  if (cache == "off") {
-    oracle.online.engine.cache.enabled = false;
-  } else if (cache != "clock" && cache != "on") {
-    std::fprintf(stderr, "engine_fuzz: unknown --cache=%s\n", cache.c_str());
-    std::exit(2);
-  }
   oracle.fault = parse_fault(args.get_or("inject-fault", ""));
   return oracle;
 }
@@ -212,6 +205,10 @@ int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
 int run(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "engine_fuzz", kSummary, kOptions)) return 0;
+  if (qec::reject_removed_flags(args, "engine_fuzz", {"cache", "cache-csv"},
+                                "the decode-window cache was deleted")) {
+    return 1;
+  }
 
   const std::string replay_dir = args.get_or("replay", "");
   if (!replay_dir.empty()) return run_replay(args, replay_dir);
@@ -238,11 +235,10 @@ int run(int argc, char** argv) {
   const auto stats = qec::fuzz::run_fuzzer(config);
   std::printf(
       "fuzz: %d iterations in %.1fs, %llu oracle runs, corpus %d, "
-      "%d coverage cells, cache %llu hits / %llu misses\n",
+      "%d coverage cells\n",
       stats.iterations, stats.elapsed_s,
       static_cast<unsigned long long>(stats.oracle_runs), stats.corpus_size,
-      stats.coverage_cells, static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.cache_misses));
+      stats.coverage_cells);
   for (const auto& failure : stats.failures) {
     std::printf("FAILURE (iteration %d): %s\n", failure.iteration,
                 failure.summary.c_str());
