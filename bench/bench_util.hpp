@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 
 namespace qec::bench {
 
@@ -96,34 +97,12 @@ inline bool report_written(bool ok, const char* what, const std::string& path) {
 // the records are flat and the only consumers are tools/check_bench_json.py
 // and a human with a diff.
 
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Incremental JSON object: add() accepts strings (quoted + escaped),
 /// numbers, and raw JSON fragments (nested objects/arrays).
 class JsonObject {
  public:
   JsonObject& add(const std::string& key, const std::string& value) {
-    return add_raw(key, "\"" + json_escape(value) + "\"");
+    return add_raw(key, json_string(value));
   }
   JsonObject& add(const std::string& key, const char* value) {
     return add(key, std::string(value));
@@ -139,7 +118,7 @@ class JsonObject {
   }
   JsonObject& add_raw(const std::string& key, const std::string& raw_json) {
     if (!body_.empty()) body_ += ", ";
-    body_ += "\"" + json_escape(key) + "\": " + raw_json;
+    body_ += json_string(key) + ": " + raw_json;
     return *this;
   }
   std::string str() const { return "{" + body_ + "}"; }

@@ -36,7 +36,7 @@ double run_point(qec::Decoder& decoder, int d, double p, int trials,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "ext_circuit_noise",
@@ -103,4 +103,6 @@ int main(int argc, char** argv) {
               counts.cnots, counts.resets, counts.measurements,
               counts.idle_slots);
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("ext_circuit_noise", e);
 }

@@ -14,7 +14,7 @@
 #include "sfq/fabric.hpp"
 #include "sim/monte_carlo.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "ext_window_and_fabric",
@@ -82,4 +82,6 @@ int main(int argc, char** argv) {
                   1e-9,
               qec::build_fabric({2498, 9, 2e9}).area_mm2 * 1e-2);
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("ext_window_and_fabric", e);
 }

@@ -11,7 +11,7 @@
 #include "common/table.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "fig4a_threshold_batch",
@@ -78,4 +78,6 @@ int main(int argc, char** argv) {
   std::printf("estimated p_th MWPM        : %s   (paper: ~0.030)\n",
               th_m ? qec::TextTable::fmt(*th_m, 4).c_str() : "n/a");
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("fig4a_threshold_batch", e);
 }

@@ -14,7 +14,7 @@
 #include "common/table.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "fig7_online_frequency",
@@ -117,4 +117,6 @@ int main(int argc, char** argv) {
   }
   ab.print();
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("fig7_online_frequency", e);
 }

@@ -84,35 +84,35 @@ int main(int argc, char** argv) {
                                 "the decode-window cache was deleted")) {
     return 1;
   }
-  qec::StreamConfig base;
-  base.distance = static_cast<int>(args.get_int_or("d", 5));
-  base.rounds = static_cast<int>(args.get_int_or("rounds", 64));
-  base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
-  base.engine = args.get_or("engine", "qecool");
-  base.policy = args.get_or("policy", "dedicated");
-  base.engines = static_cast<int>(args.get_int_or("engines", 0));
-  base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-  base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  base.threads = qec::threads_override(args, 1);
-  const std::string trace_json = args.get_or("trace-json", "");
-  const std::string metrics_csv = args.get_or("metrics-csv", "");
-  base.obs.trace = !trace_json.empty();
-  base.obs.trace_ring =
-      static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
-  const std::string profile_csv = args.get_or("profile-csv", "");
-  const std::string prom_snapshot = args.get_or("prom-snapshot", "");
-  base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-  base.obs.metrics_window = static_cast<int>(
-      args.get_int_or("metrics-window", base.obs.metrics_window));
-  base.obs.profile = !profile_csv.empty();
-  base.obs.slo = args.get_or("slo", "");
-
-  qec::bench::print_header(
-      "Lane scaling: wall-clock per streamed round vs fleet size",
-      "the ROADMAP lanes x clock curve — where does fleet-scale replay "
-      "stop being cheap?");
-
   try {
+    qec::StreamConfig base;
+    base.distance = static_cast<int>(args.get_int_or("d", 5));
+    base.rounds = static_cast<int>(args.get_int_or("rounds", 64));
+    base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
+    base.engine = args.get_or("engine", "qecool");
+    base.policy = args.get_or("policy", "dedicated");
+    base.engines = static_cast<int>(args.get_int_or("engines", 0));
+    base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
+    base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
+    base.threads = qec::threads_override(args, 1);
+    const std::string trace_json = args.get_or("trace-json", "");
+    const std::string metrics_csv = args.get_or("metrics-csv", "");
+    base.obs.trace = !trace_json.empty();
+    base.obs.trace_ring =
+        static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
+    const std::string profile_csv = args.get_or("profile-csv", "");
+    const std::string prom_snapshot = args.get_or("prom-snapshot", "");
+    base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
+    base.obs.metrics_window = static_cast<int>(
+        args.get_int_or("metrics-window", base.obs.metrics_window));
+    base.obs.profile = !profile_csv.empty();
+    base.obs.slo = args.get_or("slo", "");
+
+    qec::bench::print_header(
+        "Lane scaling: wall-clock per streamed round vs fleet size",
+        "the ROADMAP lanes x clock curve — where does fleet-scale replay "
+        "stop being cheap?");
+
     qec::online_engine_config(base.engine);
     qec::make_scheduler_policy(base.policy);
     if (!base.obs.slo.empty()) qec::obs::parse_slo_spec(base.obs.slo);
@@ -299,7 +299,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "lane_scaling: %s\n", e.what());
-    return 1;
+    return qec::report_error("lane_scaling", e);
   }
 }

@@ -119,35 +119,35 @@ constexpr const char* kOptions =
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "pool_scaling", kSummary, kOptions)) return 0;
-  qec::StreamConfig base;
-  base.lanes = static_cast<int>(args.get_int_or("lanes", 32));
-  base.distance = static_cast<int>(args.get_int_or("d", 5));
-  base.p = args.get_double_or("p", 0.01);
-  base.rounds = static_cast<int>(args.get_int_or("rounds", 128));
-  base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
-  base.engine = args.get_or("engine", "qecool");
-  base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-  base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  base.budget_w = args.get_double_or("budget-w", 0.0);
-  base.threads = qec::threads_override(args, 1);
-  const std::string trace_json = args.get_or("trace-json", "");
-  const std::string metrics_csv = args.get_or("metrics-csv", "");
-  base.obs.trace = !trace_json.empty();
-  base.obs.trace_ring =
-      static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
-  const std::string profile_csv = args.get_or("profile-csv", "");
-  const std::string prom_snapshot = args.get_or("prom-snapshot", "");
-  base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-  base.obs.metrics_window = static_cast<int>(
-      args.get_int_or("metrics-window", base.obs.metrics_window));
-  base.obs.profile = !profile_csv.empty();
-  base.obs.slo = args.get_or("slo", "");
-
-  qec::bench::print_header(
-      "Pool scaling: K shared decoder engines serving N lanes",
-      "failed-lane fraction over K/N x clock, per scheduling policy");
-
   try {
+    qec::StreamConfig base;
+    base.lanes = static_cast<int>(args.get_int_or("lanes", 32));
+    base.distance = static_cast<int>(args.get_int_or("d", 5));
+    base.p = args.get_double_or("p", 0.01);
+    base.rounds = static_cast<int>(args.get_int_or("rounds", 128));
+    base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
+    base.engine = args.get_or("engine", "qecool");
+    base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
+    base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
+    base.budget_w = args.get_double_or("budget-w", 0.0);
+    base.threads = qec::threads_override(args, 1);
+    const std::string trace_json = args.get_or("trace-json", "");
+    const std::string metrics_csv = args.get_or("metrics-csv", "");
+    base.obs.trace = !trace_json.empty();
+    base.obs.trace_ring =
+        static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
+    const std::string profile_csv = args.get_or("profile-csv", "");
+    const std::string prom_snapshot = args.get_or("prom-snapshot", "");
+    base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
+    base.obs.metrics_window = static_cast<int>(
+        args.get_int_or("metrics-window", base.obs.metrics_window));
+    base.obs.profile = !profile_csv.empty();
+    base.obs.slo = args.get_or("slo", "");
+
+    qec::bench::print_header(
+        "Pool scaling: K shared decoder engines serving N lanes",
+        "failed-lane fraction over K/N x clock, per scheduling policy");
+
     const auto clocks_mhz = split_doubles(args.get_or("mhz", "10,40,160"));
     const auto policies =
         split_specs(args.get_or("policies", "round_robin,least_loaded"));
@@ -426,10 +426,10 @@ int main(int argc, char** argv) {
     if (!json_path.empty()) {
       std::vector<std::string> policy_items, admission_items, pool_items;
       for (const auto& p : policies) {
-        policy_items.push_back("\"" + qec::bench::json_escape(p) + "\"");
+        policy_items.push_back(qec::json_string(p));
       }
       for (const auto& a : admissions) {
-        admission_items.push_back("\"" + qec::bench::json_escape(a) + "\"");
+        admission_items.push_back(qec::json_string(a));
       }
       for (const int k : pool_sizes) pool_items.push_back(std::to_string(k));
       const std::string config_json =
@@ -461,7 +461,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "pool_scaling: %s\n", e.what());
-    return 1;
+    return qec::report_error("pool_scaling", e);
   }
 }

@@ -94,47 +94,48 @@ int main(int argc, char** argv) {
                                 "the decode-window cache was deleted")) {
     return 1;
   }
-  qec::StreamConfig config;
-  config.lanes = static_cast<int>(args.get_int_or("lanes", 64));
-  config.distance = static_cast<int>(args.get_int_or("d", 7));
-  config.p = args.get_double_or("p", 0.01);
-  config.rounds = static_cast<int>(args.get_int_or("rounds", 256));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
-  config.engine = args.get_or("engine", "qecool");
-  config.cycles_per_round =
-      qec::cycles_per_microsecond(args.get_double_or("mhz", 2000.0) * 1e6);
-  config.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-  config.engines = static_cast<int>(args.get_int_or("engines", 0));
-  config.policy = args.get_or("policy", "dedicated");
-  config.admission = args.get_or("admission", "overflow");
-  config.budget_w = args.get_double_or("budget-w", 0.0);
-  config.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  config.threads = qec::threads_override(args, 1);
-  const std::string trace_json = args.get_or("trace-json", "");
-  const std::string metrics_csv = args.get_or("metrics-csv", "");
-  config.obs.trace = !trace_json.empty();
-  config.obs.trace_ring =
-      static_cast<int>(args.get_int_or("trace-ring", config.obs.trace_ring));
-  const std::string profile_csv = args.get_or("profile-csv", "");
-  const std::string slo_csv = args.get_or("slo-csv", "");
-  const std::string prom_snapshot = args.get_or("prom-snapshot", "");
-  const auto dump_dir =
-      qec::optional_value_flag(args, "dump-obs-on-exit", "obs_bundle");
-  config.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-  config.obs.metrics_window = static_cast<int>(
-      args.get_int_or("metrics-window", config.obs.metrics_window));
-  config.obs.profile = !profile_csv.empty();
-  config.obs.slo = args.get_or("slo", "");
-  if (dump_dir) {
-    config.obs.dump_dir = *dump_dir;
-    qec::obs::FlightRecorder::install_signal_handlers();
-  }
-
-  qec::bench::print_header(
-      "Stream soak: N concurrent on-line lanes vs a shared decoder pool",
-      "Fig 7 scaled out — per-lane overflow/drain under sustained load");
-
   try {
+    qec::StreamConfig config;
+    config.lanes = static_cast<int>(args.get_int_or("lanes", 64));
+    config.distance = static_cast<int>(args.get_int_or("d", 7));
+    config.p = args.get_double_or("p", 0.01);
+    config.rounds = static_cast<int>(args.get_int_or("rounds", 256));
+    config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
+    config.engine = args.get_or("engine", "qecool");
+    config.cycles_per_round =
+        qec::cycles_per_microsecond(args.get_double_or("mhz", 2000.0) * 1e6);
+    config.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
+    config.engines = static_cast<int>(args.get_int_or("engines", 0));
+    config.policy = args.get_or("policy", "dedicated");
+    config.admission = args.get_or("admission", "overflow");
+    config.budget_w = args.get_double_or("budget-w", 0.0);
+    config.rounds_per_dispatch =
+        static_cast<int>(args.get_int_or("dispatch", 1));
+    config.threads = qec::threads_override(args, 1);
+    const std::string trace_json = args.get_or("trace-json", "");
+    const std::string metrics_csv = args.get_or("metrics-csv", "");
+    config.obs.trace = !trace_json.empty();
+    config.obs.trace_ring =
+        static_cast<int>(args.get_int_or("trace-ring", config.obs.trace_ring));
+    const std::string profile_csv = args.get_or("profile-csv", "");
+    const std::string slo_csv = args.get_or("slo-csv", "");
+    const std::string prom_snapshot = args.get_or("prom-snapshot", "");
+    const auto dump_dir =
+        qec::optional_value_flag(args, "dump-obs-on-exit", "obs_bundle");
+    config.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
+    config.obs.metrics_window = static_cast<int>(
+        args.get_int_or("metrics-window", config.obs.metrics_window));
+    config.obs.profile = !profile_csv.empty();
+    config.obs.slo = args.get_or("slo", "");
+    if (dump_dir) {
+      config.obs.dump_dir = *dump_dir;
+      qec::obs::FlightRecorder::install_signal_handlers();
+    }
+
+    qec::bench::print_header(
+        "Stream soak: N concurrent on-line lanes vs a shared decoder pool",
+        "Fig 7 scaled out — per-lane overflow/drain under sustained load");
+
     // Validate the engine, policy, and admission specs before recording a
     // trace, so a typo costs nothing.
     qec::online_engine_config(config.engine);

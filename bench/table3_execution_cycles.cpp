@@ -12,7 +12,7 @@
 #include "common/table.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "table3_execution_cycles",
@@ -73,4 +73,6 @@ int main(int argc, char** argv) {
       "Max >> Avg everywhere.\nA layer must finish within 1 us (the "
       "measurement interval), i.e. within f x 1us cycles.\n");
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("table3_execution_cycles", e);
 }

@@ -18,7 +18,7 @@
 #include "sfq/unit_netlist.hpp"
 #include "sim/monte_carlo.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "table5_aqec_comparison",
@@ -79,4 +79,6 @@ int main(int argc, char** argv) {
               "with the measurement cadence (Section V-D).\n",
               online.cycles_per_round, meas_max_ns);
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("table5_aqec_comparison", e);
 }

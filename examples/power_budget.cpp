@@ -12,7 +12,7 @@
 #include "sfq/power.hpp"
 #include "sfq/unit_netlist.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "power_budget",
@@ -55,4 +55,6 @@ int main(int argc, char** argv) {
               "%lld logical qubits in the same budget.\n",
               aqec3d.protectable_logical_qubits(budget));
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("power_budget", e);
 }

@@ -13,7 +13,7 @@
 #include "qecool/online_runner.hpp"
 #include "sim/monte_carlo.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "quickstart",
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(qecool.operational_failures),
               static_cast<unsigned long long>(qecool.trials));
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("quickstart", e);
 }

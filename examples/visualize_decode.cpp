@@ -14,7 +14,7 @@
 #include "qecool/qecool_decoder.hpp"
 #include "surface_code/ascii_render.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "visualize_decode",
@@ -52,4 +52,6 @@ int main(int argc, char** argv) {
                     .c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_error("visualize_decode", e);
 }

@@ -3,8 +3,19 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace qec {
+namespace {
+
+[[noreturn]] void throw_malformed(std::string_view name,
+                                  const std::string& value,
+                                  const char* expected) {
+  throw std::invalid_argument("--" + std::string(name) + "=" + value +
+                              " is not " + expected);
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -63,11 +74,17 @@ bool CliArgs::get_flag(std::string_view name) const {
 
 std::int64_t CliArgs::get_int_or(std::string_view name,
                                  std::int64_t fallback) const {
-  return get_int(name).value_or(fallback);
+  const auto raw = get(name);
+  if (!raw) return fallback;
+  if (const auto v = get_int(name)) return *v;
+  throw_malformed(name, *raw, "an integer");
 }
 
 double CliArgs::get_double_or(std::string_view name, double fallback) const {
-  return get_double(name).value_or(fallback);
+  const auto raw = get(name);
+  if (!raw) return fallback;
+  if (const auto v = get_double(name)) return *v;
+  throw_malformed(name, *raw, "a number");
 }
 
 std::string CliArgs::get_or(std::string_view name,
@@ -120,7 +137,7 @@ std::optional<std::string> optional_value_flag(const CliArgs& args,
 }
 
 std::int64_t trials_override(const CliArgs& args, std::int64_t fallback) {
-  if (const auto v = args.get_int("trials")) return *v;
+  if (args.get("trials")) return args.get_int_or("trials", fallback);
   if (const char* env = std::getenv("QECOOL_TRIALS")) {
     char* end = nullptr;
     const long long v = std::strtoll(env, &end, 10);
@@ -130,8 +147,8 @@ std::int64_t trials_override(const CliArgs& args, std::int64_t fallback) {
 }
 
 int threads_override(const CliArgs& args, int fallback) {
-  if (const auto v = args.get_int("threads")) {
-    return static_cast<int>(*v);
+  if (args.get("threads")) {
+    return static_cast<int>(args.get_int_or("threads", fallback));
   }
   if (const char* env = std::getenv("QECOOL_THREADS")) {
     char* end = nullptr;
@@ -139,6 +156,11 @@ int threads_override(const CliArgs& args, int fallback) {
     if (end != env && *end == '\0' && v >= 0) return static_cast<int>(v);
   }
   return fallback;
+}
+
+int report_error(const char* program, const std::exception& error) {
+  std::fprintf(stderr, "%s: %s\n", program, error.what());
+  return 1;
 }
 
 }  // namespace qec

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -17,7 +18,8 @@ namespace qec {
 class CliArgs {
  public:
   /// Parses argv (argv[0] skipped). Never throws; malformed numeric values
-  /// surface when queried via the typed getters returning std::nullopt.
+  /// surface when queried: get_int/get_double return std::nullopt, and the
+  /// *_or getters throw.
   CliArgs(int argc, const char* const* argv);
 
   std::optional<std::string> get(std::string_view name) const;
@@ -25,6 +27,10 @@ class CliArgs {
   std::optional<double> get_double(std::string_view name) const;
   bool get_flag(std::string_view name) const;
 
+  /// `fallback` when the flag is absent, its value when well-formed.
+  /// Throws std::invalid_argument naming the flag and the value when it
+  /// is present but not a number, so "--lanes=abc" fails instead of
+  /// silently running the default.
   std::int64_t get_int_or(std::string_view name, std::int64_t fallback) const;
   double get_double_or(std::string_view name, double fallback) const;
   std::string get_or(std::string_view name, std::string_view fallback) const;
@@ -79,12 +85,18 @@ std::optional<std::string> optional_value_flag(const CliArgs& args,
                                                std::string_view bare_value);
 
 /// Reads trial-count override from --trials or env QECOOL_TRIALS, falling
-/// back to `fallback`. Shared by every bench binary.
+/// back to `fallback`. Shared by every bench binary. A malformed --trials
+/// throws like get_int_or; a malformed env value is ignored.
 std::int64_t trials_override(const CliArgs& args, std::int64_t fallback);
 
 /// Reads worker-thread override from --threads or env QECOOL_THREADS,
 /// falling back to `fallback`. 0 means "all hardware threads"; results are
 /// thread-count independent (the sweep driver fixes the shard schedule).
+/// A malformed --threads throws like get_int_or.
 int threads_override(const CliArgs& args, int fallback = 1);
+
+/// The catch clause every main() ends with: prints "<program>: <what>" to
+/// stderr and returns exit code 1 — a named error, never std::terminate.
+int report_error(const char* program, const std::exception& error);
 
 }  // namespace qec

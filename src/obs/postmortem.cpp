@@ -10,6 +10,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -40,28 +41,6 @@ bool make_dirs(const std::string& path) {
   }
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -171,7 +150,7 @@ bool FlightRecorder::dump(const std::string& reason) {
     files.push_back("slo.csv");
   }
 
-  std::string manifest = "{\"reason\": \"" + json_escape(reason) + "\"";
+  std::string manifest = "{\"reason\": " + json_string(reason);
   manifest += ", \"files\": [";
   for (std::size_t i = 0; i < files.size(); ++i) {
     if (i > 0) manifest += ", ";

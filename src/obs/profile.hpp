@@ -41,7 +41,7 @@ namespace qec::obs {
 /// are not disjoint shares of the run — they answer "how much wall time
 /// was spent under this label", Perfetto-slice style.
 enum class Stage : std::uint8_t {
-  kDispatchAssign = 0,  ///< pre-round lane state + policy assignment
+  kDispatchAssign = 0,  ///< admission, policy assignment, drain grants
   kLaneExecute,         ///< the lane-parallel region (per-lane body)
   kReduction,           ///< fixed-order reductions on the scheduling thread
   kTelemetryClose,      ///< metrics feed, window close, finish

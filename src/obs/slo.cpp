@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 
 namespace qec::obs {
 
@@ -53,28 +54,6 @@ std::string join(const std::vector<std::string>& items, const char* sep) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += sep;
     out += items[i];
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }
@@ -355,7 +334,7 @@ std::string SloEngine::summary_json() const {
   for (const auto& objective : config_.objectives) {
     specs.push_back(objective.spec());
   }
-  out += "\"spec\": \"" + json_escape(join(specs, ",")) + "\"";
+  out += "\"spec\": " + json_string(join(specs, ","));
   out += ", \"metrics_window\": " +
          std::to_string(metrics_ ? metrics_->window() : config_.window);
   out += ", \"fast\": " + std::to_string(config_.fast);
@@ -364,7 +343,7 @@ std::string SloEngine::summary_json() const {
   for (std::size_t i = 0; i < summaries_.size(); ++i) {
     const SloObjectiveSummary& summary = summaries_[i];
     if (i > 0) out += ", ";
-    out += "{\"spec\": \"" + json_escape(summary.spec) + "\"";
+    out += "{\"spec\": " + json_string(summary.spec);
     out += ", \"windows\": " + std::to_string(summary.windows);
     out += ", \"violations\": " + std::to_string(summary.violations);
     out += ", \"warnings\": " + std::to_string(summary.warnings);

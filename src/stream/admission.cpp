@@ -8,6 +8,7 @@
 #include "decoder/registry.hpp"
 #include "obs/trace.hpp"
 #include "sfq/budget.hpp"
+#include "stream/qos.hpp"
 
 namespace qec {
 namespace {
@@ -100,6 +101,25 @@ AdmissionConfig resolve_admission(const AdmissionConfig& config,
     bad_spec("low-water mark must be below the high-water mark");
   }
   return resolved;
+}
+
+AdmissionStep admission_step(const AdmissionConfig& config,
+                             CodelControl& codel, std::int64_t round,
+                             bool paused, int depth, std::int64_t head_age) {
+  if (!config.pause()) return AdmissionStep::kStay;
+  if (paused) {
+    const bool resume =
+        depth <= config.low_water ||
+        (config.codel() && codel.should_resume(head_age, depth));
+    if (!resume) return AdmissionStep::kStay;
+    if (config.codel()) codel.on_resume(round);
+    return AdmissionStep::kResume;
+  }
+  if (config.codel() && codel.should_pause(round, head_age, depth)) {
+    return AdmissionStep::kPauseCodel;
+  }
+  return depth >= config.high_water ? AdmissionStep::kPause
+                                    : AdmissionStep::kStay;
 }
 
 void trace_admission_pause(obs::Track& track, std::int64_t round, bool codel,

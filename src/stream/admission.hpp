@@ -23,6 +23,10 @@
 //    leaves idle are granted to paused lanes, deepest queue first, so a
 //    paused lane always eventually drains and resumes.
 //
+//  - admission_step() is the law itself, one plain function per mode:
+//    "overflow" is the law that never pauses, so the service runs every
+//    mode through the same dispatch path.
+//
 // Both knobs ride StreamConfig: admission = "overflow" | "pause" |
 // "pause:high=6,low=2" (parsed exactly like decoder and policy specs),
 // and budget_w > 0 caps the pool at the largest K whose model watts fit
@@ -40,6 +44,8 @@ namespace qec {
 namespace obs {
 class Track;  // obs/trace.hpp — pause/resume transitions emit here
 }
+
+class CodelControl;  // stream/qos.hpp — the codel law's per-lane state
 
 /// What the streaming service does when a lane's Reg queues fill up.
 struct AdmissionConfig {
@@ -78,8 +84,8 @@ struct AdmissionConfig {
   /// selects the automatic interval: 2 * reg_depth.
   int interval = 0;
 
-  /// Admission-controlled modes: the service runs the pause/drain/resume
-  /// machinery (per-lane trace cursors, checkpoint()/resume()).
+  /// The law can pause lanes (kPause, kCodel): the service then needs
+  /// fresh queue depths every round, so it runs one round per dispatch.
   bool pause() const { return mode != Mode::kOverflow; }
   /// Pause decisions come from the CoDel latency law, not depth marks.
   bool codel() const { return mode == Mode::kCodel; }
@@ -100,6 +106,31 @@ AdmissionConfig parse_admission_spec(std::string_view spec);
 /// resolved marks are out of range.
 AdmissionConfig resolve_admission(const AdmissionConfig& config,
                                   int reg_depth);
+
+/// One lane's admission transition for one round.
+enum class AdmissionStep {
+  kStay,        ///< no transition
+  kPause,       ///< freeze: the depth reached the high-water mark
+  kPauseCodel,  ///< freeze: the CoDel deadline expired
+  kResume,      ///< re-admit the paused lane
+};
+
+/// The admission law, consulted once per round for every unfinished lane
+/// before the policy assigns engines. `paused` is the lane's state, `depth`
+/// its stored Reg layers and `head_age` its head sojourn
+/// (LatencyTracker::head_age) at the start of `round`.
+///  - kOverflow never pauses: the next push into a full queue overflows.
+///  - kPause pauses at depth >= high_water and resumes at depth <=
+///    low_water.
+///  - kCodel pauses when the CoDel deadline expires, with the depth
+///    high-water mark as the overflow backstop, and resumes once the head
+///    sojourn falls below target or the depth reaches low_water.
+/// Under kCodel the call drives `codel`: every admitted round is observed
+/// (arming and disarming its deadline) and a resume starts its
+/// consecutive-pause window.
+AdmissionStep admission_step(const AdmissionConfig& config,
+                             CodelControl& codel, std::int64_t round,
+                             bool paused, int depth, std::int64_t head_age);
 
 /// Observability hooks (src/obs): one call per admission transition, made
 /// on the scheduling thread in lane order right where the controller

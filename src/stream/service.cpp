@@ -1,11 +1,13 @@
 #include "stream/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
 #include <cstdio>
 
+#include "common/json.hpp"
 #include "decoder/registry.hpp"
 #include "obs/postmortem.hpp"
 #include "qecool/online_runner.hpp"
@@ -43,17 +45,17 @@ struct Lane {
     telemetry.depth_hist.assign(static_cast<std::size_t>(depth_bins), 0);
   }
 
+  /// Stored Reg layers: the lane's queue depth.
+  int depth() const { return stepper.engine().stored_layers(); }
+
   void record_depth() {
-    const auto depth = static_cast<std::size_t>(stepper.engine().stored_layers());
-    if (depth < telemetry.depth_hist.size()) ++telemetry.depth_hist[depth];
+    const auto bin = static_cast<std::size_t>(depth());
+    if (bin < telemetry.depth_hist.size()) ++telemetry.depth_hist[bin];
   }
 
-  bool finished() const { return stepper.overflowed() || stepper.drained(); }
-
-  /// Finished test under admission control: a paused lane is never
-  /// finished (its clock is frozen mid-stream), and a lane with trace
-  /// layers still to consume is not done just because its queue drained.
-  bool finished_admission(int trace_rounds) const {
+  /// Overflowed, or consumed the whole trace and drained its queue. A
+  /// paused lane is never finished: its clock is frozen mid-stream.
+  bool finished(int trace_rounds) const {
     if (stepper.overflowed()) return true;
     return !stepper.paused() && cursor >= trace_rounds && stepper.drained();
   }
@@ -71,8 +73,9 @@ struct Lane {
   /// scheduling thread in lane order.
   CodelControl codel;
 
-  /// Next trace layer this lane will consume (admission pause mode: a
-  /// paused lane's cursor freezes while the global round marches on).
+  /// Next trace layer this lane will consume; past the trace end the lane
+  /// pushes clean drain layers. A paused lane's cursor freezes while the
+  /// global round marches on.
   int cursor = 0;
 
   /// Observability (src/obs): the lane's event track, null when tracing
@@ -88,20 +91,57 @@ struct Lane {
   std::size_t obs_consumed = 0;
 };
 
-/// Orchestrates the shared engine pool over one run: per dispatch it asks
-/// the policy for up to `batch` rounds of engine->lane assignments (on the
-/// calling thread, in round order), executes them lane-parallel with all
-/// writes going to lane-local slots, then reduces engine accounting and
-/// the round timeline on the calling thread — so every outcome and CSV is
-/// independent of the worker-thread count.
+/// The service's windowed instruments. Registration order is CSV column
+/// order — keep it stable, goldens pin it.
+enum Metric : int {
+  kPushes, kDrainPushes, kPops, kServes, kStarves, kOverflows, kPauses,
+  kResumes, kLiveLanes, kPausedLanes, kOverflowedLanes, kDepth, kSojourn,
+  kMetricCount,
+};
+
+struct MetricDef {
+  const char* name;
+  int (obs::MetricsRegistry::*add)(const std::string&);
+};
+
+constexpr MetricDef kMetricDefs[kMetricCount] = {
+    {"pushes", &obs::MetricsRegistry::add_counter},
+    {"drain_pushes", &obs::MetricsRegistry::add_counter},
+    {"pops", &obs::MetricsRegistry::add_counter},
+    {"serves", &obs::MetricsRegistry::add_counter},
+    {"starves", &obs::MetricsRegistry::add_counter},
+    {"overflows", &obs::MetricsRegistry::add_counter},
+    {"pauses", &obs::MetricsRegistry::add_counter},
+    {"resumes", &obs::MetricsRegistry::add_counter},
+    {"live_lanes", &obs::MetricsRegistry::add_gauge},
+    {"paused_lanes", &obs::MetricsRegistry::add_gauge},
+    {"overflowed_lanes", &obs::MetricsRegistry::add_gauge},
+    {"depth", &obs::MetricsRegistry::add_histogram},
+    {"sojourn", &obs::MetricsRegistry::add_histogram},
+};
+
+/// Wall-clock profile feed, one counter per obs::Stage in stage order.
+constexpr const char* kProfileMetrics[obs::kStageCount] = {
+    "prof_dispatch_ns", "prof_lane_ns", "prof_reduce_ns", "prof_telemetry_ns",
+    "prof_export_ns"};
+
+/// Orchestrates the shared engine pool over one run. Each dispatch covers
+/// up to `batch` rounds: admission transitions, then the policy's
+/// engine->lane assignments plus drain grants for paused lanes (on the
+/// calling thread, in round order), then lane-parallel execution with all
+/// writes going to lane-local slots, then one reduction of engine
+/// accounting and the round timeline on the calling thread — so every
+/// outcome and CSV is independent of the worker-thread count.
 class PoolScheduler {
  public:
-  PoolScheduler(std::vector<Lane>& lanes, SchedulerPolicy& policy, int engines,
+  PoolScheduler(std::vector<Lane>& lanes, const SyndromeTrace& trace,
+                SchedulerPolicy& policy, int engines,
                 const StreamConfig& config, const AdmissionConfig& admission,
                 StreamTelemetry& telemetry,
                 obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                 obs::Profiler* profiler)
       : lanes_(lanes),
+        trace_(trace),
         policy_(policy),
         config_(config),
         admission_(admission),
@@ -110,8 +150,11 @@ class PoolScheduler {
         metrics_(metrics),
         profiler_(profiler),
         engines_(engines),
-        batch_(policy.dynamic() ? 1
-                                : std::max(1, config.rounds_per_dispatch)) {
+        // Multi-round batches need a policy that never reads lane state
+        // and a law that never pauses; everything else needs fresh queue
+        // depths every round.
+        batch_(policy.dynamic() || admission.pause()
+                   ? 1 : config.rounds_per_dispatch) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
     for (int e = 0; e < engines_; ++e) {
       telemetry_.engine_stats[static_cast<std::size_t>(e)].engine = e;
@@ -121,47 +164,32 @@ class PoolScheduler {
     paused_.resize(lanes_.size());
     assignment_.assign(static_cast<std::size_t>(engines_), -1);
     if (metrics_) {
-      // Registration order is CSV column order — keep it stable, goldens
-      // pin it.
-      m_pushes_ = metrics_->add_counter("pushes");
-      m_drain_pushes_ = metrics_->add_counter("drain_pushes");
-      m_pops_ = metrics_->add_counter("pops");
-      m_serves_ = metrics_->add_counter("serves");
-      m_starves_ = metrics_->add_counter("starves");
-      m_overflows_ = metrics_->add_counter("overflows");
-      m_pauses_ = metrics_->add_counter("pauses");
-      m_resumes_ = metrics_->add_counter("resumes");
-      m_live_ = metrics_->add_gauge("live_lanes");
-      m_paused_ = metrics_->add_gauge("paused_lanes");
-      m_overflowed_ = metrics_->add_gauge("overflowed_lanes");
-      m_depth_ = metrics_->add_histogram("depth");
-      m_sojourn_ = metrics_->add_histogram("sojourn");
-      // Wall-clock profile feed: registered only when profiling is on, so
-      // the default metrics CSV schema is untouched — and these columns
-      // are the ONE part of the CSV exempt from the byte-identical
-      // contract (they measure real time). Values are nanoseconds accrued
-      // per window; trace_export happens after the run, so its column
-      // stays 0 here and lives in the profile CSV instead.
+      std::size_t k = 0;
+      for (const MetricDef& def : kMetricDefs) {
+        m_[k++] = (metrics_->*def.add)(def.name);
+      }
+      // Only with profiling on, so the default schema is untouched: these
+      // columns measure real time, the ONE part of the CSV exempt from the
+      // byte-identical contract. trace_export runs after the run, so its
+      // column stays 0 here and lives in the profile CSV instead.
       if (profiler_) {
-        m_prof_[0] = metrics_->add_counter("prof_dispatch_ns");
-        m_prof_[1] = metrics_->add_counter("prof_lane_ns");
-        m_prof_[2] = metrics_->add_counter("prof_reduce_ns");
-        m_prof_[3] = metrics_->add_counter("prof_telemetry_ns");
-        m_prof_[4] = metrics_->add_counter("prof_export_ns");
+        for (int s = 0; s < obs::kStageCount; ++s) {
+          m_prof_[static_cast<std::size_t>(s)] =
+              metrics_->add_counter(kProfileMetrics[s]);
+        }
       }
     }
   }
 
   int batch() const { return batch_; }
 
-  /// Runs `count` rounds starting at global round `start`. Streaming
-  /// rounds (drain == false) push trace layer (start + r) into every lane
-  /// that has not overflowed; drain rounds push clean layers into every
-  /// unfinished lane.
-  void dispatch(std::int64_t start, int count, bool drain,
-                const SyndromeTrace* trace) {
-    const int n = static_cast<int>(lanes_.size());
-    const auto slots = static_cast<std::size_t>(n) * static_cast<std::size_t>(count);
+  /// Runs `count` rounds starting at global round `start`. Every unfinished
+  /// lane takes part: an admitted lane pushes the trace layer at its
+  /// cursor (a clean layer once the trace is consumed), a paused lane only
+  /// spends whatever grant it receives. Returns false, running nothing,
+  /// once every lane has finished.
+  bool dispatch(std::int64_t start, int count) {
+    const auto slots = lanes_.size() * static_cast<std::size_t>(count);
     grant_.assign(slots, -1);
     cycles_.assign(slots, 0);
     flags_.assign(slots, 0);
@@ -170,166 +198,271 @@ class PoolScheduler {
       pops_.assign(slots, 0);
       samples_after_.assign(slots, 0);
     }
-
     {
       // Profiler stage scopes (here and below) cost one branch each when
       // profiling is off and never touch any outcome — timing is observed,
       // not consulted.
       obs::ScopedStage prof(profiler_, obs::Stage::kDispatchAssign);
+      if (!admit(start)) return false;
+      assign(start, count);
+    }
+    execute(start, count);
+    reduce(start, count);
+    return true;
+  }
 
-      // Pre-round lane state for the policy. Fresh only when count == 1,
-      // which the constructor forces for dynamic policies; static policies
-      // never read it.
-      for (int i = 0; i < n; ++i) {
-        const Lane& lane = lanes_[static_cast<std::size_t>(i)];
-        depth_[static_cast<std::size_t>(i)] = lane.stepper.engine().stored_layers();
-        finished_[static_cast<std::size_t>(i)] =
-            (drain ? lane.finished() : lane.stepper.overflowed()) ? 1 : 0;
+  /// Flushes the trailing partial metrics window (feeding it the last
+  /// profile deltas first) — the run_stream epilogue.
+  void finish_metrics() {
+    if (!metrics_) return;
+    obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
+    feed_profile();
+    metrics_->finish();
+  }
+
+ private:
+  /// Pre-round lane state and admission transitions, in lane order: the
+  /// policy view (depth, finished, paused) and the paused lanes awaiting a
+  /// drain grant, deepest queue first (lane-index ties). Batches only
+  /// occur under a law that never pauses, so this state is fresh for every
+  /// round a pausing law sees. Returns false when every lane has finished.
+  bool admit(std::int64_t round) {
+    const int trace_rounds = trace_.rounds();
+    bool any_unfinished = false;
+    drainable_.clear();
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      Lane& lane = lanes_[i];
+      const int depth = lane.depth();
+      depth_[i] = depth;
+      bool finished = lane.finished(trace_rounds);
+      // Only a resume can finish a lane: a fully drained lane with no
+      // trace left finishes on resume.
+      if (!finished && transition(lane, round, depth)) {
+        finished = lane.finished(trace_rounds);
       }
+      finished_[i] = finished ? 1 : 0;
+      paused_[i] = (!finished && lane.stepper.paused()) ? 1 : 0;
+      if (paused_[i]) drainable_.push_back(static_cast<int>(i));
+      any_unfinished |= !finished;
+    }
+    std::sort(drainable_.begin(), drainable_.end(), [this](int a, int b) {
+      const int da = depth_[static_cast<std::size_t>(a)];
+      const int db = depth_[static_cast<std::size_t>(b)];
+      return da != db ? da > db : a < b;
+    });
+    return any_unfinished;
+  }
 
-      // Assignments for the whole batch, in round order on this thread.
-      assignments_.assign(static_cast<std::size_t>(count) *
-                              static_cast<std::size_t>(engines_),
-                          -1);
-      ScheduleView view;
-      view.lanes = n;
-      view.engines = engines_;
-      view.depth = depth_.data();
-      view.finished = finished_.data();
-      view.grant_cycles = config_.cycles_per_round;
-      for (int r = 0; r < count; ++r) {
-        view.round = start + r;
-        // Reset so a policy that leaves an engine's entry untouched idles it
-        // instead of inheriting the previous round's grant.
-        std::fill(assignment_.begin(), assignment_.end(), -1);
-        policy_.assign(view, assignment_);
-        for (int e = 0; e < engines_; ++e) {
-          const int lane = assignment_[static_cast<std::size_t>(e)];
-          assignments_[static_cast<std::size_t>(r) * engines_ +
-                       static_cast<std::size_t>(e)] = lane;
-          if (lane < 0) continue;
-          if (lane >= n) {
-            throw std::logic_error("stream: policy assigned engine " +
-                                   std::to_string(e) + " to nonexistent lane " +
-                                   std::to_string(lane));
-          }
-          auto& slot = grant_[static_cast<std::size_t>(lane) * count +
-                              static_cast<std::size_t>(r)];
-          if (slot >= 0) {
-            throw std::logic_error(
-                "stream: policy assigned two engines to lane " +
-                std::to_string(lane) + " in one round");
-          }
-          slot = e;
+  /// Applies the admission law's verdict for one unfinished lane. Returns
+  /// true when the lane was paused or resumed.
+  bool transition(Lane& lane, std::int64_t round, int depth) {
+    const AdmissionStep step =
+        admission_step(admission_, lane.codel, round, lane.stepper.paused(),
+                       depth, lane.qos.head_age(round));
+    if (step == AdmissionStep::kStay) return false;
+    if (step == AdmissionStep::kResume) {
+      lane.stepper.resume();
+      ++lane.telemetry.resumes;
+      if (lane.track) trace_admission_resume(*lane.track, round, depth);
+      if (metrics_) metrics_->count(m_[kResumes]);
+      return true;
+    }
+    // checkpoint() freezes the clock; the returned patch snapshot is the
+    // host-offload view, which the service itself does not need — tests
+    // exercise it directly.
+    (void)lane.stepper.checkpoint();
+    ++lane.telemetry.pauses;
+    if (lane.track) {
+      trace_admission_pause(*lane.track, round,
+                            step == AdmissionStep::kPauseCodel, depth);
+    }
+    if (metrics_) metrics_->count(m_[kPauses]);
+    return true;
+  }
+
+  /// Engine assignments for the whole batch, in round order on this
+  /// thread: the policy's grants (paused lanes visible as
+  /// non-schedulable), then drain grants — engines the policy leaves idle
+  /// or points at finished lanes serve the paused lanes' backlogs, so a
+  /// paused lane always eventually drains, independent of the policy.
+  void assign(std::int64_t start, int count) {
+    const int n = static_cast<int>(lanes_.size());
+    assignments_.assign(static_cast<std::size_t>(count) * engines_, -1);
+    ScheduleView view;
+    view.lanes = n;
+    view.engines = engines_;
+    view.depth = depth_.data();
+    view.finished = finished_.data();
+    view.paused = paused_.data();
+    view.grant_cycles = config_.cycles_per_round;
+    for (int r = 0; r < count; ++r) {
+      view.round = start + r;
+      // Reset so a policy that leaves an engine's entry untouched idles it
+      // instead of inheriting the previous round's grant.
+      std::fill(assignment_.begin(), assignment_.end(), -1);
+      policy_.assign(view, assignment_);
+      int* row = assignments_.data() + static_cast<std::size_t>(r) * engines_;
+      const auto grant = [&](int lane) -> int& {
+        return grant_[static_cast<std::size_t>(lane) * count +
+                      static_cast<std::size_t>(r)];
+      };
+      for (int e = 0; e < engines_; ++e) {
+        const int lane = assignment_[static_cast<std::size_t>(e)];
+        row[e] = lane;
+        if (lane < 0) continue;
+        if (lane >= n) {
+          throw std::logic_error("stream: policy assigned engine " +
+                                 std::to_string(e) + " to nonexistent lane " +
+                                 std::to_string(lane));
         }
+        if (grant(lane) >= 0) {
+          throw std::logic_error(
+              "stream: policy assigned two engines to lane " +
+              std::to_string(lane) + " in one round");
+        }
+        grant(lane) = e;
+      }
+      // Drain grants, skipping paused lanes the policy already granted.
+      auto next = drainable_.begin();
+      for (int e = 0; e < engines_ && next != drainable_.end(); ++e) {
+        if (row[e] >= 0 && !finished_[static_cast<std::size_t>(row[e])]) {
+          continue;
+        }
+        next = std::find_if(next, drainable_.end(),
+                            [&](int lane) { return grant(lane) < 0; });
+        if (next == drainable_.end()) break;
+        row[e] = *next++;
+        grant(row[e]) = e;
       }
     }
+  }
 
-    // Lane-parallel execution in contiguous lane blocks; every write below
-    // lands in lane-local state or the lane's own scratch slots.
-    parallel_for_blocks(n, config_.threads, [&](int i) {
+  /// Lane-parallel execution in contiguous lane blocks; every write below
+  /// lands in lane-local state or the lane's own scratch slots.
+  void execute(std::int64_t start, int count) {
+    const int trace_rounds = trace_.rounds();
+    parallel_for_blocks(static_cast<int>(lanes_.size()), config_.threads,
+                        [&](int i) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
       Lane& lane = lanes_[static_cast<std::size_t>(i)];
       for (int r = 0; r < count; ++r) {
         const std::size_t idx = static_cast<std::size_t>(i) * count +
                                 static_cast<std::size_t>(r);
-        if (drain ? lane.finished() : lane.stepper.overflowed()) continue;
-        if (lane.track) lane.track->set_round(start + r);
-        // Backlog before this round's layer lands: the starvation test.
-        const bool backlog = lane.stepper.engine().stored_layers() > 0;
-        const bool pushed =
-            drain ? lane.stepper.push_clean()
-                  : lane.stepper.push(trace->layer(i, static_cast<int>(start) + r));
-        std::uint8_t flags = kActive;
-        if (pushed) {
-          flags |= kPushed;
+        if (lane.finished(trace_rounds)) continue;
+        const std::int64_t round = start + r;
+        if (lane.track) lane.track->set_round(round);
+        std::uint8_t flags = kPaused;
+        bool serve = true;  // a paused lane spends any grant it receives
+        if (lane.stepper.paused()) {
+          ++lane.telemetry.paused_rounds;
+        } else {
+          flags = kActive;
+          // Backlog before this round's layer lands: the starvation test.
+          const bool backlog = lane.depth() > 0;
+          const bool real = lane.cursor < trace_rounds;
+          if (real) flags |= kTraceLayer;
+          // trace.layer() hands out PackedBits: this push is a word copy
+          // into the engine Reg, never a byte-per-bit repack.
+          serve = real ? lane.stepper.push(trace_.layer(i, lane.cursor))
+                       : lane.stepper.push_clean();
+          if (serve) {
+            flags |= kPushed;
+            if (real) {
+              ++lane.cursor;
+              ++lane.telemetry.rounds_streamed;
+            } else {
+              ++lane.telemetry.drain_rounds;
+            }
+            lane.qos.on_push(round, real);
+            if (lane.track) {
+              lane.track->emit(obs::EventKind::kPush,
+                               static_cast<std::uint64_t>(lane.depth()),
+                               real ? 1 : 0);
+            }
+            if (grant_[idx] < 0 && backlog) {
+              flags |= kStarved;
+              ++lane.telemetry.starved_rounds;
+              if (lane.track) {
+                lane.track->emit(obs::EventKind::kStarve,
+                                 static_cast<std::uint64_t>(lane.depth()));
+              }
+            }
+          } else if (lane.track) {
+            lane.track->emit(obs::EventKind::kOverflow,
+                             static_cast<std::uint64_t>(lane.depth()));
+          }
+        }
+        if (serve && grant_[idx] >= 0) {
+          cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
+          lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
+          flags |= kServed;
+          ++lane.telemetry.served_rounds;
           if (lane.track) {
-            lane.track->emit(
-                obs::EventKind::kPush,
-                static_cast<std::uint64_t>(lane.stepper.engine().stored_layers()),
-                drain ? 0 : 1);
+            lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
           }
-          lane.qos.on_push(start + r, /*real=*/!drain);
-          if (drain) {
-            ++lane.telemetry.drain_rounds;
-          } else {
-            ++lane.telemetry.rounds_streamed;
-          }
-          if (grant_[idx] >= 0) {
-            cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-            lane.qos.on_pops(lane.stepper.last_spend_pops(), start + r);
-            flags |= kServed;
-            ++lane.telemetry.served_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
-            }
-            if (metrics_) {
-              pops_[idx] = lane.stepper.last_spend_pops();
-            }
-          } else if (backlog) {
-            flags |= kStarved;
-            ++lane.telemetry.starved_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kStarve,
-                               static_cast<std::uint64_t>(
-                                   lane.stepper.engine().stored_layers()));
-            }
-          }
-        } else if (lane.track) {
-          lane.track->emit(obs::EventKind::kOverflow,
-                           static_cast<std::uint64_t>(
-                               lane.stepper.engine().stored_layers()));
+          if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
         }
         lane.record_depth();
-        depth_scratch_[idx] = lane.stepper.engine().stored_layers();
-        if (metrics_) {
-          samples_after_[idx] = lane.qos.samples().size();
-        }
+        depth_scratch_[idx] = lane.depth();
+        if (metrics_) samples_after_[idx] = lane.qos.samples().size();
         flags_[idx] = flags;
       }
     });
+  }
 
-    // Reductions in fixed (round, lane/engine) order on this thread.
+  /// Reductions in fixed (round, lane/engine) order on this thread.
+  void reduce(std::int64_t start, int count) {
     obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
+    const std::size_t n = lanes_.size();
     for (int r = 0; r < count; ++r) {
       RoundSample sample;
       sample.round = start + r;
-      sample.drain = drain;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i) * count +
-                                static_cast<std::size_t>(r);
+      // A drain round: no admitted lane had trace layers left to push
+      // (whether or not its push overflowed).
+      bool streaming = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t idx = i * count + static_cast<std::size_t>(r);
         const std::uint8_t flags = flags_[idx];
-        if (!(flags & kActive)) continue;
-        ++sample.live_lanes;
-        if (flags & kServed) ++sample.served_lanes;
-        if (flags & kStarved) ++sample.starved_lanes;
-        if (!(flags & kPushed)) ++overflowed_so_far_;
+        if (!(flags & (kActive | kPaused))) continue;
+        if (flags & kActive) {
+          ++sample.live_lanes;
+          if (flags & kTraceLayer) streaming = true;
+          if (flags & kStarved) ++sample.starved_lanes;
+          if (!(flags & kPushed)) ++overflowed_so_far_;
+          if (metrics_) {
+            if (flags & kPushed) {
+              metrics_->count(
+                  m_[(flags & kTraceLayer) ? kPushes : kDrainPushes]);
+            } else {
+              metrics_->count(m_[kOverflows]);
+            }
+            if (flags & kStarved) metrics_->count(m_[kStarves]);
+          }
+        } else {
+          ++sample.paused_lanes;
+        }
+        if (flags & kServed) {
+          ++sample.served_lanes;
+          if (metrics_) {
+            metrics_->count(m_[kServes]);
+            metrics_->count(m_[kPops], static_cast<std::uint64_t>(pops_[idx]));
+          }
+        }
         sample.depth_sum += static_cast<std::uint64_t>(depth_scratch_[idx]);
         sample.depth_max = std::max(sample.depth_max, depth_scratch_[idx]);
         if (metrics_) {
-          if (flags & kPushed) {
-            metrics_->count(drain ? m_drain_pushes_ : m_pushes_);
-          } else {
-            metrics_->count(m_overflows_);
-          }
-          if (flags & kServed) {
-            metrics_->count(m_serves_);
-            metrics_->count(m_pops_, static_cast<std::uint64_t>(pops_[idx]));
-          }
-          if (flags & kStarved) metrics_->count(m_starves_);
-          metrics_->observe(m_depth_,
+          metrics_->observe(m_[kDepth],
                             static_cast<std::uint64_t>(depth_scratch_[idx]));
-          consume_sojourn(lanes_[static_cast<std::size_t>(i)],
-                          samples_after_[idx]);
+          consume_sojourn(lanes_[i], samples_after_[idx]);
         }
       }
       sample.overflowed_lanes = overflowed_so_far_;
+      sample.drain = !streaming;
       // Rounds where every lane has already finished are scheduling
-      // artifacts (a batch outlives the fleet, or the trace outlives an
-      // all-overflow run): account nothing, so engine stats — like the
-      // timeline — cover exactly the rounds with live lanes and stay
-      // invariant under rounds_per_dispatch.
-      if (sample.live_lanes == 0) continue;
+      // artifacts (a batch outlives the fleet): account nothing, so engine
+      // stats — like the timeline — cover exactly the rounds some lane
+      // took part in and stay invariant under rounds_per_dispatch.
+      if (sample.live_lanes + sample.paused_lanes == 0) continue;
       if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
       for (int e = 0; e < engines_; ++e) {
         EngineTelemetry& stats = telemetry_.engine_stats[static_cast<std::size_t>(e)];
@@ -349,332 +482,27 @@ class PoolScheduler {
         }
       }
       telemetry_.timeline.push_back(sample);
-      if (tracer_) trace_round_schedule(*tracer_, start + r, served_, drain);
+      if (tracer_) {
+        trace_round_schedule(*tracer_, sample.round, served_, sample.drain);
+      }
       if (metrics_) {
         obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
-        metrics_->set_gauge(m_live_, sample.live_lanes);
-        metrics_->set_gauge(m_paused_, sample.paused_lanes);
-        metrics_->set_gauge(m_overflowed_, overflowed_so_far_);
+        metrics_->set_gauge(m_[kLiveLanes], sample.live_lanes);
+        metrics_->set_gauge(m_[kPausedLanes], sample.paused_lanes);
+        metrics_->set_gauge(m_[kOverflowedLanes], overflowed_so_far_);
         feed_profile();
-        metrics_->tick(start + r);
+        metrics_->tick(sample.round);
       }
     }
   }
 
-  /// One admission-controlled round (admission=pause). Differs from
-  /// dispatch() in three ways: every lane consumes the trace through its
-  /// own cursor (a paused lane's logical clock freezes while the global
-  /// round marches on), the admission controller pauses and re-admits
-  /// lanes around the watermarks before the policy runs, and engines the
-  /// policy leaves idle (or points at finished lanes) are granted to
-  /// paused lanes, deepest queue first, so a paused backlog always
-  /// eventually drains. All decisions are made on the calling thread in
-  /// lane order — outcomes stay a pure function of (trace, config).
-  /// Returns false once every lane has finished.
-  bool dispatch_admission(std::int64_t round, const SyndromeTrace& trace) {
-    const int n = static_cast<int>(lanes_.size());
-    const int trace_rounds = trace.rounds();
-    grant_.assign(static_cast<std::size_t>(n), -1);
-    cycles_.assign(static_cast<std::size_t>(n), 0);
-    flags_.assign(static_cast<std::size_t>(n), 0);
-    depth_scratch_.assign(static_cast<std::size_t>(n), 0);
-    if (metrics_) {
-      pops_.assign(static_cast<std::size_t>(n), 0);
-      samples_after_.assign(static_cast<std::size_t>(n), 0);
-    }
-
-    std::unique_ptr<obs::ScopedStage> prof_assign;
-    if (profiler_) {
-      prof_assign = std::make_unique<obs::ScopedStage>(
-          profiler_, obs::Stage::kDispatchAssign);
-    }
-
-    // Pre-round state and admission transitions, in lane order. A paused
-    // lane re-admits once its backlog reaches the low-water mark; an
-    // admitted lane at or above the high-water mark is paused instead of
-    // being allowed to push toward overflow.
-    bool any_unfinished = false;
-    for (int i = 0; i < n; ++i) {
-      Lane& lane = lanes_[static_cast<std::size_t>(i)];
-      const int depth = lane.stepper.engine().stored_layers();
-      depth_[static_cast<std::size_t>(i)] = depth;
-      bool finished = lane.finished_admission(trace_rounds);
-      if (!finished) {
-        if (lane.stepper.paused()) {
-          // Codel re-admits when the standing latency dissolved (head
-          // sojourn back under target) or the backlog drained to the
-          // low-water mark — whichever comes first; pause mode uses the
-          // depth mark alone.
-          const bool readmit =
-              depth <= admission_.low_water ||
-              (admission_.codel() &&
-               lane.codel.should_resume(lane.qos.head_age(round), depth));
-          if (readmit) {
-            lane.stepper.resume();
-            ++lane.telemetry.resumes;
-            if (admission_.codel()) lane.codel.on_resume(round);
-            if (lane.track) trace_admission_resume(*lane.track, round, depth);
-            if (metrics_) metrics_->count(m_resumes_);
-            // A fully drained lane with no trace left finishes on resume.
-            finished = lane.finished_admission(trace_rounds);
-          }
-        } else {
-          bool freeze;
-          bool by_codel = false;
-          if (admission_.codel()) {
-            // The CoDel law observes every admitted round (the call arms
-            // and disarms its deadline); the depth high-water mark stays
-            // behind it as the overflow backstop, so codel never loses a
-            // lane that pause mode would have kept.
-            by_codel = lane.codel.should_pause(round, lane.qos.head_age(round),
-                                               depth);
-            freeze = by_codel || depth >= admission_.high_water;
-          } else {
-            freeze = depth >= admission_.high_water;
-          }
-          if (freeze) {
-            // checkpoint() freezes the clock; the returned patch snapshot
-            // is the host-offload view, which the service itself does not
-            // need — tests exercise it directly.
-            (void)lane.stepper.checkpoint();
-            ++lane.telemetry.pauses;
-            if (lane.track) {
-              trace_admission_pause(*lane.track, round, by_codel, depth);
-            }
-            if (metrics_) metrics_->count(m_pauses_);
-          }
-        }
-      }
-      finished_[static_cast<std::size_t>(i)] = finished ? 1 : 0;
-      paused_[static_cast<std::size_t>(i)] =
-          (!finished && lane.stepper.paused()) ? 1 : 0;
-      any_unfinished |= !finished;
-    }
-    if (!any_unfinished) return false;
-
-    // Policy assignment (paused lanes visible as non-schedulable).
-    ScheduleView view;
-    view.round = round;
-    view.lanes = n;
-    view.engines = engines_;
-    view.depth = depth_.data();
-    view.finished = finished_.data();
-    view.paused = paused_.data();
-    view.grant_cycles = config_.cycles_per_round;
-    std::fill(assignment_.begin(), assignment_.end(), -1);
-    policy_.assign(view, assignment_);
-    assignments_.assign(static_cast<std::size_t>(engines_), -1);
-    for (int e = 0; e < engines_; ++e) {
-      const int lane = assignment_[static_cast<std::size_t>(e)];
-      assignments_[static_cast<std::size_t>(e)] = lane;
-      if (lane < 0) continue;
-      if (lane >= n) {
-        throw std::logic_error("stream: policy assigned engine " +
-                               std::to_string(e) + " to nonexistent lane " +
-                               std::to_string(lane));
-      }
-      auto& slot = grant_[static_cast<std::size_t>(lane)];
-      if (slot >= 0) {
-        throw std::logic_error("stream: policy assigned two engines to lane " +
-                               std::to_string(lane) + " in one round");
-      }
-      slot = e;
-    }
-
-    // Admission drain grants: engines left idle or pointed at finished
-    // lanes serve the paused lanes' backlogs, deepest first (lane-index
-    // ties) — deterministic, and independent of the policy in use.
-    drainable_.clear();
-    for (int i = 0; i < n; ++i) {
-      if (paused_[static_cast<std::size_t>(i)] &&
-          grant_[static_cast<std::size_t>(i)] < 0) {
-        drainable_.push_back(i);
-      }
-    }
-    std::sort(drainable_.begin(), drainable_.end(), [this](int a, int b) {
-      const int da = depth_[static_cast<std::size_t>(a)];
-      const int db = depth_[static_cast<std::size_t>(b)];
-      return da != db ? da > db : a < b;
-    });
-    std::size_t next_drain = 0;
-    for (int e = 0; e < engines_ && next_drain < drainable_.size(); ++e) {
-      const int lane = assignments_[static_cast<std::size_t>(e)];
-      if (lane >= 0 && !finished_[static_cast<std::size_t>(lane)]) continue;
-      const int target = drainable_[next_drain++];
-      assignments_[static_cast<std::size_t>(e)] = target;
-      grant_[static_cast<std::size_t>(target)] = e;
-    }
-    prof_assign.reset();
-
-    // Lane-parallel execution in contiguous lane blocks; writes stay
-    // lane-local.
-    parallel_for_blocks(n, config_.threads, [&](int i) {
-      obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
-      Lane& lane = lanes_[static_cast<std::size_t>(i)];
-      const auto idx = static_cast<std::size_t>(i);
-      if (finished_[idx]) return;
-      if (lane.track) lane.track->set_round(round);
-      std::uint8_t flags = 0;
-      if (paused_[idx]) {
-        flags = kPausedF;
-        ++lane.telemetry.paused_rounds;
-        if (grant_[idx] >= 0) {
-          cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-          lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
-          flags |= kServed;
-          ++lane.telemetry.served_rounds;
-          if (lane.track) {
-            lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
-          }
-          if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
-        }
-      } else {
-        flags = kActive;
-        const bool backlog = lane.stepper.engine().stored_layers() > 0;
-        bool pushed = false;
-        if (lane.cursor < trace_rounds) {
-          // trace.layer() hands out PackedBits: this push is a word copy
-          // into the engine Reg, never a byte-per-bit repack.
-          pushed = lane.stepper.push(trace.layer(i, lane.cursor));
-          if (pushed) {
-            ++lane.cursor;
-            ++lane.telemetry.rounds_streamed;
-            lane.qos.on_push(round, /*real=*/true);
-            flags |= kRealPush;
-          }
-        } else {
-          pushed = lane.stepper.push_clean();
-          if (pushed) {
-            ++lane.telemetry.drain_rounds;
-            lane.qos.on_push(round, /*real=*/false);
-          }
-        }
-        if (pushed) {
-          flags |= kPushed;
-          if (lane.track) {
-            lane.track->emit(
-                obs::EventKind::kPush,
-                static_cast<std::uint64_t>(lane.stepper.engine().stored_layers()),
-                (flags & kRealPush) ? 1 : 0);
-          }
-          if (grant_[idx] >= 0) {
-            cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-            lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
-            flags |= kServed;
-            ++lane.telemetry.served_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
-            }
-            if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
-          } else if (backlog) {
-            flags |= kStarved;
-            ++lane.telemetry.starved_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kStarve,
-                               static_cast<std::uint64_t>(
-                                   lane.stepper.engine().stored_layers()));
-            }
-          }
-        } else if (lane.track) {
-          lane.track->emit(obs::EventKind::kOverflow,
-                           static_cast<std::uint64_t>(
-                               lane.stepper.engine().stored_layers()));
-        }
-      }
-      lane.record_depth();
-      depth_scratch_[idx] = lane.stepper.engine().stored_layers();
-      if (metrics_) {
-        samples_after_[idx] = lane.qos.samples().size();
-      }
-      flags_[idx] = flags;
-    });
-
-    // Reductions in fixed lane/engine order on this thread.
-    obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
-    RoundSample sample;
-    sample.round = round;
-    bool real_push = false;
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const std::uint8_t flags = flags_[idx];
-      if (!(flags & (kActive | kPausedF))) continue;
-      if (flags & kActive) {
-        ++sample.live_lanes;
-        if (flags & kRealPush) real_push = true;
-        if (flags & kStarved) ++sample.starved_lanes;
-        if (!(flags & kPushed)) ++overflowed_so_far_;
-        if (metrics_) {
-          if (flags & kPushed) {
-            metrics_->count((flags & kRealPush) ? m_pushes_ : m_drain_pushes_);
-          } else {
-            metrics_->count(m_overflows_);
-          }
-          if (flags & kStarved) metrics_->count(m_starves_);
-        }
-      } else {
-        ++sample.paused_lanes;
-      }
-      if (flags & kServed) {
-        ++sample.served_lanes;
-        if (metrics_) {
-          metrics_->count(m_serves_);
-          metrics_->count(m_pops_, static_cast<std::uint64_t>(pops_[idx]));
-        }
-      }
-      sample.depth_sum += static_cast<std::uint64_t>(depth_scratch_[idx]);
-      sample.depth_max = std::max(sample.depth_max, depth_scratch_[idx]);
-      if (metrics_) {
-        metrics_->observe(m_depth_,
-                          static_cast<std::uint64_t>(depth_scratch_[idx]));
-        consume_sojourn(lanes_[idx], samples_after_[idx]);
-      }
-    }
-    sample.overflowed_lanes = overflowed_so_far_;
-    sample.drain = !real_push;
-    if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
-    for (int e = 0; e < engines_; ++e) {
-      EngineTelemetry& stats =
-          telemetry_.engine_stats[static_cast<std::size_t>(e)];
-      const int lane = assignments_[static_cast<std::size_t>(e)];
-      if (lane >= 0 && (flags_[static_cast<std::size_t>(lane)] & kServed)) {
-        ++stats.busy_rounds;
-        stats.cycles += cycles_[static_cast<std::size_t>(lane)];
-        sample.cycles += cycles_[static_cast<std::size_t>(lane)];
-        if (tracer_) served_[static_cast<std::size_t>(e)] = lane;
-      } else {
-        ++stats.idle_rounds;
-      }
-    }
-    telemetry_.timeline.push_back(sample);
-    if (tracer_) trace_round_schedule(*tracer_, round, served_, sample.drain);
-    if (metrics_) {
-      obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
-      metrics_->set_gauge(m_live_, sample.live_lanes);
-      metrics_->set_gauge(m_paused_, sample.paused_lanes);
-      metrics_->set_gauge(m_overflowed_, overflowed_so_far_);
-      feed_profile();
-      metrics_->tick(round);
-    }
-    return true;
-  }
-
-  /// Flushes the trailing partial metrics window (feeding it the last
-  /// profile deltas first) — the run_stream epilogue.
-  void finish_metrics() {
-    if (!metrics_) return;
-    obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
-    feed_profile();
-    metrics_->finish();
-  }
-
- private:
   /// Feeds the lane's sojourn samples [obs_consumed, upto) to the windowed
   /// histogram. Called only from the reductions, in fixed (round, lane)
   /// order, so window attribution never depends on threads or batching.
   void consume_sojourn(Lane& lane, std::size_t upto) {
     const auto& samples = lane.qos.samples();
     for (std::size_t k = lane.obs_consumed; k < upto; ++k) {
-      metrics_->observe(m_sojourn_, samples[k]);
+      metrics_->observe(m_[kSojourn], samples[k]);
     }
     lane.obs_consumed = upto;
   }
@@ -692,14 +520,15 @@ class PoolScheduler {
     }
   }
 
-  static constexpr std::uint8_t kActive = 1;   ///< lane took part in the round
+  static constexpr std::uint8_t kActive = 1;   ///< admitted this round
   static constexpr std::uint8_t kPushed = 2;   ///< layer accepted (no overflow)
   static constexpr std::uint8_t kServed = 4;   ///< consumed an engine grant
   static constexpr std::uint8_t kStarved = 8;  ///< backlogged, no grant
-  static constexpr std::uint8_t kPausedF = 16;   ///< frozen by admission
-  static constexpr std::uint8_t kRealPush = 32;  ///< pushed a trace layer
+  static constexpr std::uint8_t kPaused = 16;  ///< frozen by admission
+  static constexpr std::uint8_t kTraceLayer = 32;  ///< tried a trace layer
 
   std::vector<Lane>& lanes_;
+  const SyndromeTrace& trace_;
   SchedulerPolicy& policy_;
   const StreamConfig& config_;
   const AdmissionConfig admission_;
@@ -711,26 +540,13 @@ class PoolScheduler {
   const int batch_;
   int overflowed_so_far_ = 0;
 
-  // Metrics instrument ids (valid only when metrics_ is set).
-  int m_pushes_ = -1;
-  int m_drain_pushes_ = -1;
-  int m_pops_ = -1;
-  int m_serves_ = -1;
-  int m_starves_ = -1;
-  int m_overflows_ = -1;
-  int m_pauses_ = -1;
-  int m_resumes_ = -1;
-  int m_live_ = -1;
-  int m_paused_ = -1;
-  int m_overflowed_ = -1;
-  int m_depth_ = -1;
-  int m_sojourn_ = -1;
+  std::array<int, kMetricCount> m_{};           ///< instrument ids by Metric
   std::array<int, obs::kStageCount> m_prof_{};  ///< per-stage nanos counters
 
   std::vector<int> depth_;             // pre-round, for the policy view
   std::vector<std::uint8_t> finished_;
-  std::vector<std::uint8_t> paused_;   // pause mode: frozen this round
-  std::vector<int> drainable_;         // pause mode: ungranted paused lanes
+  std::vector<std::uint8_t> paused_;   // frozen by admission this round
+  std::vector<int> drainable_;         // paused lanes, deepest first
   std::vector<int> assignment_;        // one round, engine -> lane
   std::vector<int> assignments_;       // whole batch, [round][engine]
   std::vector<int> grant_;             // [lane][round]: engine or -1
@@ -741,20 +557,6 @@ class PoolScheduler {
   std::vector<int> pops_;              // metrics: [lane][round] layers popped
   std::vector<std::size_t> samples_after_;  // metrics: cumulative sojourn count
 };
-
-std::string json_string(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += "\"";
-  return out;
-}
 
 std::string json_double(double value) {
   char buf[40];
@@ -783,15 +585,12 @@ std::string stream_config_json(const StreamConfig& config, int trace_rounds,
   out += ", \"admission\": " + json_string(config.admission);
   out += ", \"budget_w\": " + json_double(config.budget_w);
   out += ", \"threads\": " + std::to_string(config.threads);
-  out += ", \"obs\": {";
-  out += "\"trace\": ";
-  out += config.obs.trace ? "true" : "false";
+  const auto flag = [](bool on) { return std::string(on ? "true" : "false"); };
+  out += ", \"obs\": {\"trace\": " + flag(config.obs.trace);
   out += ", \"trace_ring\": " + std::to_string(config.obs.trace_ring);
-  out += ", \"metrics\": ";
-  out += config.obs.metrics ? "true" : "false";
+  out += ", \"metrics\": " + flag(config.obs.metrics);
   out += ", \"metrics_window\": " + std::to_string(config.obs.metrics_window);
-  out += ", \"profile\": ";
-  out += config.obs.profile ? "true" : "false";
+  out += ", \"profile\": " + flag(config.obs.profile);
   out += ", \"slo\": " + json_string(config.obs.slo);
   out += ", \"dump_dir\": " + json_string(config.obs.dump_dir);
   out += "}}";
@@ -836,6 +635,11 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
                          const StreamConfig& user_config) {
   const int n = trace.lanes();
   if (n < 1) throw std::invalid_argument("stream: trace has no lanes");
+  if (user_config.rounds_per_dispatch < 1) {
+    throw std::invalid_argument(
+        "stream: rounds_per_dispatch must be >= 1, got " +
+        std::to_string(user_config.rounds_per_dispatch));
+  }
   // Arming the flight recorder implies the recorders it dumps: a
   // postmortem bundle without the event trace and the metrics heartbeat
   // would be useless at triage time. Profiling and SLOs stay opt-in.
@@ -895,10 +699,8 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   lanes.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     lanes.emplace_back(lattice, online, i, engine_config.reg_depth + 1);
-  }
-  if (admission.codel()) {
-    for (auto& lane : lanes) {
-      lane.codel = CodelControl(admission.target, admission.interval);
+    if (admission.codel()) {
+      lanes.back().codel = CodelControl(admission.target, admission.interval);
     }
   }
 
@@ -939,7 +741,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     outcome.telemetry.watts = power.watts();
   }
 
-  PoolScheduler scheduler(lanes, *policy, engines, config, admission,
+  PoolScheduler scheduler(lanes, trace, *policy, engines, config, admission,
                           outcome.telemetry,
                           outcome.tracer.get(), outcome.metrics.get(),
                           outcome.profiler.get());
@@ -975,61 +777,35 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     }
   };
 
-  if (admission.pause()) {
-    // Admission-controlled run: one round at a time, per-lane cursors.
-    // Paused lanes lag behind the global round, so streaming and drain
-    // interleave per lane; the total round count is bounded by the trace
-    // length plus the drain budget, exactly like the two-phase loop.
-    const std::int64_t max_rounds =
-        static_cast<std::int64_t>(trace.rounds()) + config.max_drain_rounds;
-    for (std::int64_t t = 0; t < max_rounds; ++t) {
-      poll_dump_request();
-      if (!scheduler.dispatch_admission(t, trace)) break;
-    }
-  } else {
-    // Phase 1 — streaming: round t reaches every live lane before any lane
-    // sees round t+1, mirroring syndrome arrival in hardware; the policy
-    // grants engines round by round within each dispatch batch.
-    for (std::int64_t t = 0; t < trace.rounds();) {
-      poll_dump_request();
-      const int count = static_cast<int>(
-          std::min<std::int64_t>(scheduler.batch(), trace.rounds() - t));
-      scheduler.dispatch(t, count, /*drain=*/false, &trace);
-      t += count;
-    }
-
-    // Phase 2 — drain: clean layers until every lane overflowed or
-    // drained, bounded by max_drain_rounds (QEC never stops in hardware).
-    std::int64_t round = trace.rounds();
-    for (int budget = config.max_drain_rounds; budget > 0;) {
-      poll_dump_request();
-      bool any_active = false;
-      for (const auto& lane : lanes) any_active |= !lane.finished();
-      if (!any_active) break;
-      const int count = std::min(scheduler.batch(), budget);
-      scheduler.dispatch(round, count, /*drain=*/true, nullptr);
-      round += count;
-      budget -= count;
-    }
+  // Round t reaches every admitted lane before any lane sees round t+1,
+  // mirroring syndrome arrival in hardware. The run ends once every lane
+  // finished, or at the trace length plus the drain budget (QEC never stops
+  // in hardware): a lane that spent rounds paused lags the global round by
+  // that many and must finish inside the same bound.
+  const std::int64_t max_rounds = static_cast<std::int64_t>(trace.rounds()) +
+                                  std::max(0, config.max_drain_rounds);
+  for (std::int64_t t = 0; t < max_rounds;) {
+    poll_dump_request();
+    const int count = static_cast<int>(
+        std::min<std::int64_t>(scheduler.batch(), max_rounds - t));
+    if (!scheduler.dispatch(t, count)) break;
+    t += count;
   }
 
   // Finalize each lane (the logical scoring decodes nothing, but keep it
   // in the parallel region: it is per-lane work too).
-  const bool pause_mode = admission.pause();
   parallel_for_blocks(n, config.threads, [&](int i) {
     obs::ScopedStage prof(outcome.profiler.get(), obs::Stage::kLaneExecute);
     Lane& lane = lanes[static_cast<std::size_t>(i)];
     const OnlineResult result = lane.stepper.result();
     LaneTelemetry& t = lane.telemetry;
     t.overflow = result.overflow;
-    // Under admission pause a lane can exit the round bound mid-trace
-    // with an empty queue (it spent the tail paused): it never consumed
-    // the remaining syndrome layers, so it is NOT drained and must not
-    // be scored against the full-trace ground truth.
-    const bool drained =
-        result.drained &&
-        (!pause_mode ||
-         (lane.cursor >= trace.rounds() && !lane.stepper.paused()));
+    // A lane can reach the round bound paused, or mid-trace with an empty
+    // queue (it spent rounds paused): it never consumed the remaining
+    // syndrome layers, so it is NOT drained and must not be scored
+    // against the full-trace ground truth.
+    const bool drained = result.drained && !lane.stepper.paused() &&
+                         lane.cursor >= trace.rounds();
     t.drained = drained;
     // The drained event lands at the lane's last executed round (its
     // track cursor) — deterministic, since a lane participates in the

@@ -100,7 +100,8 @@ struct StreamConfig {
   /// accumulate; <= 0 = unconstrained). See cycles_per_microsecond().
   double cycles_per_round = 0.0;
 
-  /// Clean rounds pushed after the trace ends before giving up on a lane.
+  /// Rounds the run may last past the trace length before giving up on
+  /// the lanes still unfinished (< 0 counts as 0).
   int max_drain_rounds = 1000;
 
   /// Decoder engines in the shared pool (K); <= 0 means one per lane
@@ -114,12 +115,12 @@ struct StreamConfig {
   /// stream/qos.hpp).
   std::string policy = "dedicated";
 
-  /// Rounds executed per scheduling dispatch (one parallel_for barrier).
-  /// Static policies amortize the per-round barrier over this many rounds
-  /// without changing any outcome; dynamic policies (least_loaded) need
-  /// fresh queue depths every round and clamp it to 1. <= 1 means one
-  /// round per dispatch. Admission pause mode also clamps to 1: pause and
-  /// resume decisions need fresh queue depths every round.
+  /// Rounds executed per scheduling dispatch (one parallel_for barrier),
+  /// >= 1 (run_stream throws std::invalid_argument otherwise). Static
+  /// policies under admission=overflow amortize the per-round barrier over
+  /// this many rounds without changing any outcome; dynamic policies
+  /// (least_loaded, fq) and the pausing admission laws (pause, codel) need
+  /// fresh queue depths every round and run one round per dispatch.
   int rounds_per_dispatch = 1;
 
   /// Admission control spec, resolved via parse_admission_spec():

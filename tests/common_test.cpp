@@ -1,11 +1,15 @@
-// Tests for common utilities: RNG, statistics, CLI parsing, table printing.
+// Tests for common utilities: RNG, statistics, CLI parsing, table printing,
+// JSON string escaping.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -226,7 +230,23 @@ TEST(Cli, MalformedNumbersReturnNullopt) {
   const char* argv[] = {"prog", "--d=abc"};
   CliArgs args(2, argv);
   EXPECT_FALSE(args.get_int("d").has_value());
-  EXPECT_EQ(args.get_int_or("d", 5), 5);
+  EXPECT_THROW(args.get_int_or("d", 5), std::invalid_argument);
+}
+
+TEST(Cli, MalformedNumberErrorNamesFlagAndValue) {
+  const char* argv[] = {"prog", "--lanes=abc", "--p=0.1x", "--threads=two"};
+  CliArgs args(4, argv);
+  try {
+    args.get_int_or("lanes", 64);
+    FAIL() << "a malformed integer must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--lanes=abc is not an integer");
+  }
+  EXPECT_THROW(args.get_double_or("p", 0.01), std::invalid_argument);
+  EXPECT_THROW(threads_override(args, 1), std::invalid_argument);
+  // Absent flags still take the fallback.
+  EXPECT_EQ(args.get_int_or("rounds", 256), 256);
+  EXPECT_DOUBLE_EQ(args.get_double_or("mhz", 2000.0), 2000.0);
 }
 
 TEST(Cli, TrialsOverridePrefersFlag) {
@@ -240,6 +260,18 @@ TEST(Cli, TrialsFallback) {
   CliArgs args(1, argv);
   unsetenv("QECOOL_TRIALS");
   EXPECT_EQ(trials_override(args, 999), 999);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("line\nnext"), "line\\nnext");
+  EXPECT_EQ(json_escape("dump\tdir"), "dump\\tdir");
+  EXPECT_EQ(json_escape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(json_escape(std::string("\x1f")), "\\u001f");
+  // Bytes >= 0x20 (UTF-8 included) pass through untouched.
+  EXPECT_EQ(json_escape("\xc3\xa9~"), "\xc3\xa9~");
+  EXPECT_EQ(json_string("dump\tdir\x01"), "\"dump\\tdir\\u0001\"");
 }
 
 TEST(Table, RendersAlignedColumns) {

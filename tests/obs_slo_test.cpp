@@ -6,7 +6,7 @@
 // control track), every SLO-enabled export is byte-identical at 1 vs 4
 // worker threads, 0-round and window-larger-than-run edges stay tame,
 // the wall-clock profiler records stages without perturbing outcomes,
-// and the postmortem flight recorder writes a complete bundle.
+// and the postmortem flight recorder writes a complete, valid bundle.
 #include "obs/slo.hpp"
 
 #include <gtest/gtest.h>
@@ -403,6 +403,22 @@ TEST(Postmortem, DumpWritesCompleteBundle) {
   obs::FlightRecorder::instance().disarm();
   EXPECT_FALSE(obs::FlightRecorder::instance().armed());
   EXPECT_FALSE(obs::FlightRecorder::instance().dump("disarmed"));
+}
+
+TEST(Postmortem, ConfigEchoEscapesControlBytesInDumpDir) {
+  // A tab or another control byte in dump_dir must reach config.json as a
+  // JSON escape, never raw: raw control bytes make the bundle unparseable.
+  const std::string dir = temp_path("obs\tbundle\x01");
+  StreamConfig config = bursty_config();
+  config.obs.dump_dir = dir;
+  run_stream(config);
+  ASSERT_TRUE(obs::FlightRecorder::instance().dump("test"));
+  const std::string config_echo = read_all(dir + "/config.json");
+  EXPECT_NE(config_echo.find("obs\\tbundle\\u0001\""), std::string::npos)
+      << config_echo;
+  EXPECT_EQ(config_echo.find('\t'), std::string::npos) << config_echo;
+  EXPECT_EQ(config_echo.find('\x01'), std::string::npos) << config_echo;
+  obs::FlightRecorder::instance().disarm();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Robustness / fuzz-style tests: random configurations and budgets must
 // never crash, spin, or produce syndrome-inconsistent corrections, and
-// retired command-line flags must fail loudly instead of being ignored.
+// retired command-line flags and malformed numbers must fail loudly
+// instead of being ignored.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -163,6 +164,43 @@ TEST(RemovedFlags, CacheFlagsFailTheBinariesThatTookThem) {
                 std::string::npos)
           << binary << " " << flag << "\n" << output;
     }
+  }
+}
+
+TEST(MalformedNumbers, FailTheBinariesWithANamedError) {
+  // A malformed number used to fall back to the flag's default, so a typo
+  // ran the default scenario and exited 0. It must name the flag and the
+  // value and exit non-zero before any simulation runs.
+  for (const auto& [command, message] :
+       {std::pair<std::string, std::string>{
+            std::string(QEC_STREAM_SOAK) + " --lanes=abc",
+            "stream_soak: --lanes=abc is not an integer"},
+        std::pair<std::string, std::string>{
+            std::string(QEC_STREAM_SOAK) + " --lanes=2 --mhz=fast",
+            "stream_soak: --mhz=fast is not a number"},
+        std::pair<std::string, std::string>{
+            std::string(QEC_LANE_SCALING) + " --rounds=1e",
+            "lane_scaling: --rounds=1e is not an integer"},
+        std::pair<std::string, std::string>{
+            std::string(QEC_ENGINE_FUZZ) + " --iters=many",
+            "engine_fuzz: --iters=many is not an integer"}}) {
+    const auto [status, output] = run_command(command);
+    EXPECT_NE(status, 0) << command << "\n" << output;
+    EXPECT_NE(status, -1) << command << " must exit, not terminate";
+    EXPECT_NE(output.find(message), std::string::npos)
+        << command << "\n" << output;
+  }
+}
+
+TEST(MalformedNumbers, NonPositiveDispatchIsRejected) {
+  for (const char* dispatch : {"0", "-3"}) {
+    const std::string command = std::string(QEC_STREAM_SOAK) +
+                                " --lanes=2 --rounds=4 --dispatch=" + dispatch;
+    const auto [status, output] = run_command(command);
+    EXPECT_EQ(status, 1) << command << "\n" << output;
+    EXPECT_NE(output.find("rounds_per_dispatch must be >= 1"),
+              std::string::npos)
+        << command << "\n" << output;
   }
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "qecool/online_runner.hpp"
+#include "stream/qos.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
 
@@ -116,6 +117,38 @@ TEST(Admission, ResolveValidatesAgainstRegDepth) {
   EXPECT_THROW(run_stream(config), std::invalid_argument);
   config.admission = "shed";
   EXPECT_THROW(run_stream(config), std::invalid_argument);
+}
+
+TEST(Admission, LawPausesAndResumesAtItsMarks) {
+  using Step = AdmissionStep;
+  const int reg_depth = 7;
+  const auto law = [&](const char* spec) {
+    return resolve_admission(parse_admission_spec(spec), reg_depth);
+  };
+  CodelControl unused;
+
+  // overflow is the law that never pauses, even with the queue full.
+  EXPECT_EQ(admission_step(law("overflow"), unused, 0, false, reg_depth, 0),
+            Step::kStay);
+
+  const AdmissionConfig pause = law("pause:high=6,low=2");
+  EXPECT_EQ(admission_step(pause, unused, 0, false, 5, 0), Step::kStay);
+  EXPECT_EQ(admission_step(pause, unused, 0, false, 6, 0), Step::kPause);
+  EXPECT_EQ(admission_step(pause, unused, 1, true, 3, 0), Step::kStay);
+  EXPECT_EQ(admission_step(pause, unused, 1, true, 2, 0), Step::kResume);
+
+  // codel: a standing queue (head age >= target with >= 2 layers) held
+  // for a whole interval pauses; a head age back under target resumes.
+  const AdmissionConfig codel = law("codel:target=2,interval=3");
+  CodelControl control(codel.target, codel.interval);
+  EXPECT_EQ(admission_step(codel, control, 10, false, 3, 2), Step::kStay);
+  EXPECT_EQ(admission_step(codel, control, 11, false, 3, 3), Step::kStay);
+  EXPECT_EQ(admission_step(codel, control, 12, false, 3, 4), Step::kPauseCodel);
+  EXPECT_EQ(admission_step(codel, control, 13, true, 4, 5), Step::kStay);
+  EXPECT_EQ(admission_step(codel, control, 14, true, 4, 1), Step::kResume);
+  // The depth high-water mark stays the overflow backstop under codel.
+  CodelControl fresh(codel.target, codel.interval);
+  EXPECT_EQ(admission_step(codel, fresh, 0, false, reg_depth, 0), Step::kPause);
 }
 
 TEST(Admission, PowerModelMatchesDeploymentAndInverts) {
@@ -402,6 +435,73 @@ TEST(Admission, OverflowModeStaysByteIdenticalToPr3Goldens) {
   EXPECT_EQ(csv_of(run_stream(config), "adm_golden.csv"), kGoldenPr2Csv);
 }
 
+// Timeline CSV of the run below (lanes=6, d=5, p=0.02, 12 rounds, seed 7,
+// 2 least_loaded engines, 20 cycles/round, admission=pause), captured
+// before the admission laws shared one dispatch path. It pins paused
+// lanes, rounds in which every unfinished lane is paused, and a drain tail
+// interleaved with lagging lanes streaming their last trace layers.
+constexpr const char* kGoldenPauseTimeline =
+    "round,phase,live,served,starved,paused,overflowed,depth_sum,depth_mean,"
+    "depth_max,cycles,watts\n"
+    "0,stream,6,2,0,0,0,5,0.8333,1,7,2.22351e-06\n"
+    "1,stream,6,2,3,0,0,11,1.8333,2,0,2.22351e-06\n"
+    "2,stream,6,2,4,0,0,17,2.8333,3,0,2.22351e-06\n"
+    "3,stream,6,2,4,0,0,22,3.6667,4,42,2.22351e-06\n"
+    "4,stream,6,2,4,0,0,27,4.5000,5,45,2.22351e-06\n"
+    "5,stream,6,2,4,0,0,32,5.3333,6,43,2.22351e-06\n"
+    "6,stream,6,2,4,0,0,38,6.3333,7,50,2.22351e-06\n"
+    "7,stream,4,2,2,2,0,41,6.8333,7,43,2.22351e-06\n"
+    "8,stream,1,2,0,5,0,42,7.0000,7,43,2.22351e-06\n"
+    "9,drain,0,2,0,6,0,41,6.8333,7,48,2.22351e-06\n"
+    "10,drain,0,2,0,6,0,39,6.5000,7,42,2.22351e-06\n"
+    "11,drain,0,2,0,6,0,38,6.3333,7,42,2.22351e-06\n"
+    "12,drain,0,2,0,6,0,36,6.0000,6,47,2.22351e-06\n"
+    "13,drain,0,2,0,6,0,36,6.0000,6,45,2.22351e-06\n"
+    "14,drain,0,2,0,6,0,36,6.0000,6,43,2.22351e-06\n"
+    "15,drain,0,2,0,6,0,36,6.0000,6,40,2.22351e-06\n"
+    "16,drain,0,2,0,6,0,36,6.0000,6,44,2.22351e-06\n"
+    "17,drain,0,2,0,6,0,33,5.5000,6,44,2.22351e-06\n"
+    "18,drain,0,2,0,6,0,31,5.1667,6,46,2.22351e-06\n"
+    "19,drain,0,2,0,6,0,30,5.0000,6,42,2.22351e-06\n"
+    "20,drain,0,2,0,6,0,30,5.0000,6,43,2.22351e-06\n"
+    "21,drain,0,2,0,6,0,30,5.0000,6,49,2.22351e-06\n"
+    "22,drain,0,2,0,6,0,28,4.6667,5,43,2.22351e-06\n"
+    "23,drain,0,2,0,6,0,26,4.3333,5,46,2.22351e-06\n"
+    "24,drain,0,2,0,6,0,24,4.0000,4,46,2.22351e-06\n"
+    "25,drain,0,2,0,6,0,23,3.8333,4,38,2.22351e-06\n"
+    "26,stream,1,2,0,5,0,24,4.0000,4,40,2.22351e-06\n"
+    "27,stream,1,2,0,5,0,23,3.8333,4,33,2.22351e-06\n"
+    "28,stream,2,2,0,4,0,24,4.0000,4,41,2.22351e-06\n"
+    "29,stream,2,2,0,4,0,24,4.0000,4,45,2.22351e-06\n"
+    "30,stream,2,2,0,4,0,25,4.1667,5,45,2.22351e-06\n"
+    "31,stream,2,2,0,4,0,26,4.3333,6,45,2.22351e-06\n"
+    "32,drain,2,2,0,4,0,27,4.5000,7,44,2.22351e-06\n"
+    "33,drain,1,2,0,5,0,27,4.5000,7,40,2.22351e-06\n"
+    "34,drain,1,2,0,5,0,24,4.0000,6,40,2.22351e-06\n"
+    "35,drain,1,2,0,5,0,20,3.3333,4,41,2.22351e-06\n"
+    "36,drain,0,2,0,5,0,18,3.6000,4,21,2.22351e-06\n"
+    "37,stream,2,2,0,3,0,18,3.6000,4,40,2.22351e-06\n"
+    "38,stream,2,2,0,3,0,16,3.2000,4,40,2.22351e-06\n"
+    "39,stream,1,2,0,3,0,13,3.2500,4,40,2.22351e-06\n"
+    "40,stream,2,2,0,2,0,14,3.5000,4,21,2.22351e-06\n"
+    "41,stream,2,2,0,2,0,15,3.7500,4,21,2.22351e-06\n"
+    "42,stream,2,2,0,2,0,16,4.0000,4,42,2.22351e-06\n"
+    "43,stream,2,2,0,2,0,15,3.7500,4,44,2.22351e-06\n"
+    "44,stream,2,2,0,2,0,13,3.2500,4,31,2.22351e-06\n"
+    "45,drain,2,2,0,2,0,12,3.0000,4,39,2.22351e-06\n"
+    "46,drain,1,2,0,2,0,9,3.0000,4,23,2.22351e-06\n"
+    "47,stream,2,2,0,1,0,8,2.6667,4,41,2.22351e-06\n"
+    "48,stream,1,2,0,1,0,6,3.0000,4,39,2.22351e-06\n"
+    "49,stream,2,2,0,0,0,8,4.0000,5,26,2.22351e-06\n"
+    "50,stream,2,2,0,0,0,8,4.0000,5,40,2.22351e-06\n"
+    "51,stream,2,2,0,0,0,8,4.0000,5,45,2.22351e-06\n"
+    "52,stream,2,2,0,0,0,9,4.5000,5,44,2.22351e-06\n"
+    "53,stream,2,2,0,0,0,9,4.5000,5,48,2.22351e-06\n"
+    "54,stream,2,2,0,0,0,8,4.0000,5,38,2.22351e-06\n"
+    "55,drain,2,2,0,0,0,5,2.5000,3,40,2.22351e-06\n"
+    "56,drain,2,2,0,0,0,1,0.5000,1,40,2.22351e-06\n"
+    "57,drain,1,1,0,0,0,0,0.0000,0,12,2.22351e-06\n";
+
 TEST(Admission, PauseOutcomesThreadCountInvariant) {
   StreamConfig config;
   config.lanes = 6;
@@ -425,6 +525,7 @@ TEST(Admission, PauseOutcomesThreadCountInvariant) {
             schedule_csv_of(parallel, "adm_s4.csv"));
   EXPECT_EQ(timeline_csv_of(serial, "adm_r1.csv"),
             timeline_csv_of(parallel, "adm_r4.csv"));
+  EXPECT_EQ(timeline_csv_of(serial, "adm_golden_r.csv"), kGoldenPauseTimeline);
   for (std::size_t i = 0; i < serial.telemetry.lanes.size(); ++i) {
     EXPECT_EQ(serial.telemetry.lanes[i].pauses,
               parallel.telemetry.lanes[i].pauses);

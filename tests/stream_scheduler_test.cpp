@@ -106,6 +106,22 @@ constexpr const char* kGoldenPr2StarvedCsv =
     "4,7,0.03,qecool,4,1,0,0,7,0,0,34,0,0,0,0,4.3750,7,0,1,1,1,1,1,1,2\n"
     "all,7,0.03,qecool,4,5,0,0,36,0,1,169,9,9,9,9,4.2927,7,0,6,5,5,5,5,5,10\n";
 
+// Timeline CSV of a 1-lane streaming run whose only lane overflows (d=5,
+// p=0.05, 40 rounds, seed 2021, 1 cycle/round), captured before the
+// admission laws shared one dispatch path. Round 7 is a streaming round in
+// which every live lane overflows: its phase must stay "stream".
+constexpr const char* kGoldenAllOverflowTimeline =
+    "round,phase,live,served,starved,paused,overflowed,depth_sum,depth_mean,"
+    "depth_max,cycles,watts\n"
+    "0,stream,1,1,0,0,0,1,1.0000,1,0,5.55878e-08\n"
+    "1,stream,1,1,0,0,0,2,2.0000,2,0,5.55878e-08\n"
+    "2,stream,1,1,0,0,0,3,3.0000,3,0,5.55878e-08\n"
+    "3,stream,1,1,0,0,0,4,4.0000,4,4,5.55878e-08\n"
+    "4,stream,1,1,0,0,0,5,5.0000,5,12,5.55878e-08\n"
+    "5,stream,1,1,0,0,0,6,6.0000,6,4,5.55878e-08\n"
+    "6,stream,1,1,0,0,0,7,7.0000,7,4,5.55878e-08\n"
+    "7,stream,1,0,0,0,1,7,7.0000,7,0,5.55878e-08\n";
+
 StreamConfig golden_config() {
   StreamConfig config;
   config.lanes = 4;
@@ -135,6 +151,15 @@ TEST(StreamScheduler, DedicatedFullPoolMatchesPr2ByteForByte) {
   starved.cycles_per_round = 4;
   EXPECT_EQ(csv_of(run_stream(starved), "golden_starved.csv"),
             kGoldenPr2StarvedCsv);
+
+  StreamConfig all_overflow;
+  all_overflow.lanes = 1;
+  all_overflow.distance = 5;
+  all_overflow.p = 0.05;
+  all_overflow.rounds = 40;
+  all_overflow.cycles_per_round = 1;
+  EXPECT_EQ(timeline_csv_of(run_stream(all_overflow), "golden_overflow_r.csv"),
+            kGoldenAllOverflowTimeline);
 }
 
 TEST(StreamScheduler, RoundRobinFullPoolEqualsDedicated) {
@@ -222,6 +247,24 @@ TEST(StreamScheduler, DispatchBatchingNeverChangesOutcomes) {
   EXPECT_TRUE(same_outcomes(ll_one.telemetry, ll_batched.telemetry));
   EXPECT_EQ(timeline_csv_of(ll_one, "llb1.csv"),
             timeline_csv_of(ll_batched, "llb8.csv"));
+}
+
+TEST(StreamScheduler, NonPositiveDispatchBatchIsRejected) {
+  // A batch of < 1 rounds is a caller bug: rejected by name, never
+  // silently clamped to one round per dispatch.
+  StreamConfig config = golden_config();
+  const auto trace = record_trace(config);
+  for (const int batch : {0, -3}) {
+    config.rounds_per_dispatch = batch;
+    try {
+      run_stream(trace, config);
+      FAIL() << "rounds_per_dispatch=" << batch << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rounds_per_dispatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 /// One bursty lane among quiet ones, served by a single shared engine: the
