@@ -4,12 +4,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/csv.hpp"
 #include "common/json.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/slo.hpp"
+#include "stream/service.hpp"
 
 namespace qec::bench {
 
@@ -86,6 +93,17 @@ inline bool report_written(bool ok, const char* what, const std::string& path) {
   }
   std::printf("%s written to %s\n", what, path.c_str());
   return true;
+}
+
+/// Opens a sweep's CSV before the first cell runs, so an unwritable path
+/// fails (std::runtime_error naming it) before any sweep time is spent.
+/// No CSV when `path` is empty.
+inline std::optional<CsvWriter> open_csv(const std::string& path,
+                                         std::vector<std::string> header) {
+  if (path.empty()) return std::nullopt;
+  std::optional<CsvWriter> csv(std::in_place, path, std::move(header));
+  if (!csv->ok()) throw std::runtime_error("cannot write " + path);
+  return csv;
 }
 
 // ---- machine-readable bench records (--json=FILE) ----------------------
@@ -181,5 +199,132 @@ inline void write_json_file(const std::string& path,
     throw std::runtime_error("short write to '" + path + "'");
   }
 }
+
+// ---- obs exports of the streaming benches ------------------------------
+
+/// --help lines of the obs flags StreamObsExports parses; shared by
+/// stream_soak, lane_scaling and pool_scaling.
+inline constexpr const char* kStreamObsOptions =
+    "  --trace-json=FILE     event timeline as Chrome trace JSON (open in\n"
+    "                        Perfetto / chrome://tracing; ts = logical round)\n"
+    "  --trace-ring=16384    per-track event ring capacity (flight recorder:\n"
+    "                        oldest events drop once full)\n"
+    "  --metrics-csv=FILE    windowed metrics time-series CSV\n"
+    "  --metrics-window=64   rounds per metrics window\n"
+    "  --profile-csv=FILE    per-stage wall-clock self-profile CSV (enables\n"
+    "                        profiling; wall-clock values are explicitly\n"
+    "                        non-deterministic — docs/observability.md)\n"
+    "  --slo=SPEC            SLO burn-rate objectives, e.g.\n"
+    "                        'sojourn_p99<8,window=256' (implies windowed\n"
+    "                        metrics; verdicts are thread-count invariant)\n"
+    "  --slo-csv=FILE        per-window SLO verdict CSV\n"
+    "  --prom-snapshot=FILE  Prometheus text-exposition snapshot of the\n"
+    "                        final cumulative metrics (implies metrics)\n";
+
+/// Precedes kStreamObsOptions in a sweep bench's --help.
+inline constexpr const char* kSweepObsNote =
+    "  (obs exports below cover the LAST cell; tracing, profiling and\n"
+    "  SLOs run for every cell, and per-cell event counts and SLO\n"
+    "  compliance land in the --json record)\n";
+
+/// The obs export flags of the streaming benches, parsed once into
+/// StreamConfig::obs and written once through report_written. A sweep
+/// keep()s every cell's outcome, so the exports cover its LAST cell.
+class StreamObsExports {
+ public:
+  /// Parses the flags into `obs`; throws on a malformed number or SLO
+  /// spec, before any trace is recorded.
+  StreamObsExports(const CliArgs& args, StreamObsConfig& obs)
+      : trace_json_(args.get_or("trace-json", "")),
+        metrics_csv_(args.get_or("metrics-csv", "")),
+        profile_csv_(args.get_or("profile-csv", "")),
+        slo_csv_(args.get_or("slo-csv", "")),
+        prom_snapshot_(args.get_or("prom-snapshot", "")) {
+    obs.trace = !trace_json_.empty();
+    obs.trace_ring =
+        static_cast<int>(args.get_int_or("trace-ring", obs.trace_ring));
+    obs.metrics = !metrics_csv_.empty() || !prom_snapshot_.empty();
+    obs.metrics_window =
+        static_cast<int>(args.get_int_or("metrics-window", obs.metrics_window));
+    obs.profile = !profile_csv_.empty();
+    obs.slo = args.get_or("slo", "");
+    if (!obs.slo.empty()) obs::parse_slo_spec(obs.slo);
+  }
+
+  /// The run whose obs objects write() exports.
+  void keep(const StreamOutcome& outcome) {
+    tracer_ = outcome.tracer;
+    metrics_ = outcome.metrics;
+    profiler_ = outcome.profiler;
+    slo_ = outcome.slo;
+  }
+
+  /// Per-cell obs and SLO blocks of a sweep's --json record.
+  static void add_to_cell(JsonObject& cell, const StreamOutcome& outcome,
+                          std::int64_t lane_rounds) {
+    if (outcome.tracer) {
+      const auto emitted = outcome.tracer->emitted();
+      cell.add_raw(
+          "obs",
+          JsonObject()
+              .add("events", static_cast<std::int64_t>(emitted))
+              .add("dropped",
+                   static_cast<std::int64_t>(outcome.tracer->dropped()))
+              .add("events_per_lane_round",
+                   lane_rounds ? static_cast<double>(emitted) /
+                                     static_cast<double>(lane_rounds)
+                               : 0.0)
+              .str());
+    }
+    if (outcome.slo) cell.add_raw("slo", outcome.slo->summary_json());
+  }
+
+  /// Writes every requested export, each line tagged with `suffix`;
+  /// false after the first that cannot be written (or has no source).
+  bool write(const std::string& suffix = "") const {
+    {
+      // Export time shows up as the kTraceExport stage when profiling.
+      obs::ScopedStage prof(profiler_.get(), obs::Stage::kTraceExport);
+      if (!trace_json_.empty() &&
+          !report_written(tracer_ && obs::write_chrome_trace(
+                                         *tracer_, trace_json_,
+                                         profiler_.get()),
+                          ("event trace" + suffix).c_str(), trace_json_)) {
+        return false;
+      }
+      if (!metrics_csv_.empty() &&
+          !report_written(metrics_ && metrics_->write_csv(metrics_csv_),
+                          ("windowed metrics" + suffix).c_str(),
+                          metrics_csv_)) {
+        return false;
+      }
+      if (!slo_csv_.empty() &&
+          !report_written(slo_ && slo_->write_csv(slo_csv_),
+                          ("slo verdicts" + suffix).c_str(), slo_csv_)) {
+        return false;
+      }
+      if (!prom_snapshot_.empty() &&
+          !report_written(metrics_ && obs::write_prom_snapshot(
+                                          *metrics_, slo_.get(),
+                                          prom_snapshot_),
+                          ("prometheus snapshot" + suffix).c_str(),
+                          prom_snapshot_)) {
+        return false;
+      }
+    }
+    return profile_csv_.empty() ||
+           report_written(profiler_ && profiler_->write_csv(profile_csv_),
+                          ("wall-clock profile" + suffix).c_str(),
+                          profile_csv_);
+  }
+
+ private:
+  std::string trace_json_, metrics_csv_, profile_csv_, slo_csv_,
+      prom_snapshot_;
+  std::shared_ptr<obs::Tracer> tracer_;
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
+  std::shared_ptr<obs::Profiler> profiler_;
+  std::shared_ptr<obs::SloEngine> slo_;
+};
 
 }  // namespace qec::bench

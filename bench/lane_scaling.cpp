@@ -13,17 +13,13 @@
 // outcomes are unaffected by --threads or --dispatch; only wall-clock is.
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "decoder/registry.hpp"
-#include "obs/chrome_trace.hpp"
-#include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/scheduler.hpp"
 #include "stream/service.hpp"
@@ -58,28 +54,18 @@ constexpr const char* kOptions =
     "  --json=FILE           write a machine-readable run record to FILE\n"
     "                        (config, git revision, wall-clock and\n"
     "                        lane-rounds/s per cell — the format pinned in\n"
-    "                        BENCH_lane_scaling.json)\n"
-    "  --trace-json=FILE     Chrome-trace-event timeline of the LAST cell\n"
-    "                        (tracing is on for every cell; per-cell event\n"
-    "                        counts land in the --json obs block)\n"
-    "  --trace-ring=16384    per-track event ring capacity\n"
-    "  --metrics-csv=FILE    windowed metrics time series of the LAST cell\n"
-    "  --metrics-window=64   rounds per metrics window\n"
-    "  --profile-csv=FILE    per-stage wall-clock self-profile of the LAST\n"
-    "                        cell (enables profiling for every cell;\n"
-    "                        wall-clock values are non-deterministic)\n"
-    "  --slo=SPEC            SLO burn-rate objectives per cell, e.g.\n"
-    "                        'sojourn_p99<8' (implies windowed metrics;\n"
-    "                        per-cell compliance lands in the --json\n"
-    "                        record's slo block)\n"
-    "  --prom-snapshot=FILE  Prometheus snapshot of the LAST cell's final\n"
-    "                        cumulative metrics (implies metrics)\n";
+    "                        BENCH_lane_scaling.json)\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
-  if (qec::handle_help(args, "lane_scaling", kSummary, kOptions)) return 0;
+  const std::string options =
+      std::string(kOptions) + qec::bench::kSweepObsNote +
+      qec::bench::kStreamObsOptions;
+  if (qec::handle_help(args, "lane_scaling", kSummary, options.c_str())) {
+    return 0;
+  }
   if (qec::reject_removed_flags(args, "lane_scaling", {"cache", "cache-csv"},
                                 "the decode-window cache was deleted")) {
     return 1;
@@ -95,18 +81,7 @@ int main(int argc, char** argv) {
     base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
     base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
     base.threads = qec::threads_override(args, 1);
-    const std::string trace_json = args.get_or("trace-json", "");
-    const std::string metrics_csv = args.get_or("metrics-csv", "");
-    base.obs.trace = !trace_json.empty();
-    base.obs.trace_ring =
-        static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
-    const std::string profile_csv = args.get_or("profile-csv", "");
-    const std::string prom_snapshot = args.get_or("prom-snapshot", "");
-    base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-    base.obs.metrics_window = static_cast<int>(
-        args.get_int_or("metrics-window", base.obs.metrics_window));
-    base.obs.profile = !profile_csv.empty();
-    base.obs.slo = args.get_or("slo", "");
+    qec::bench::StreamObsExports exports(args, base.obs);
 
     qec::bench::print_header(
         "Lane scaling: wall-clock per streamed round vs fleet size",
@@ -115,7 +90,6 @@ int main(int argc, char** argv) {
 
     qec::online_engine_config(base.engine);
     qec::make_scheduler_policy(base.policy);
-    if (!base.obs.slo.empty()) qec::obs::parse_slo_spec(base.obs.slo);
     const auto lane_counts =
         split_doubles(args.get_or("lanes", "64,256,1024,4096"));
     const auto clocks_mhz = split_doubles(args.get_or("mhz", "10,40,160"));
@@ -128,16 +102,11 @@ int main(int argc, char** argv) {
     const std::string csv_path = args.get_or("csv", "");
     const std::string json_path = args.get_or("json", "");
     std::vector<std::string> json_cells;
-    std::shared_ptr<qec::obs::Tracer> last_tracer;
-    std::shared_ptr<qec::obs::MetricsRegistry> last_metrics;
-    std::shared_ptr<qec::obs::Profiler> last_profiler;
-    std::shared_ptr<qec::obs::SloEngine> last_slo;
-    qec::CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
-                       {"lanes", "d", "p", "mhz", "engines", "policy",
-                        "rounds", "record_ms", "replay_ms",
-                        "streamed_lane_rounds", "us_per_lane_round",
-                        "lane_rounds_per_sec", "overflow_lanes",
-                        "failed_lanes", "failed_frac"});
+    auto csv = qec::bench::open_csv(
+        csv_path, {"lanes", "d", "p", "mhz", "engines", "policy", "rounds",
+                   "record_ms", "replay_ms", "streamed_lane_rounds",
+                   "us_per_lane_round", "lane_rounds_per_sec",
+                   "overflow_lanes", "failed_lanes", "failed_frac"});
 
     qec::TextTable table({"lanes", "p", "mhz", "K", "replay ms",
                           "us/lane-round", "lane-rounds/s", "failed"});
@@ -165,10 +134,10 @@ int main(int argc, char** argv) {
                   std::chrono::steady_clock::now() - replay_start)
                   .count();
 
-          const auto all = outcome.telemetry.aggregate();
-          const std::int64_t lane_rounds =
-              static_cast<std::int64_t>(all.rounds_streamed) +
-              all.drain_rounds;
+          std::int64_t lane_rounds = 0;
+          for (const auto& lane : outcome.telemetry.lanes) {
+            lane_rounds += lane.rounds_streamed + lane.drain_rounds;
+          }
           const double us_per_round =
               lane_rounds ? replay_ms * 1e3 / static_cast<double>(lane_rounds)
                           : 0.0;
@@ -180,8 +149,8 @@ int main(int argc, char** argv) {
               static_cast<double>(outcome.failed_lanes) /
               static_cast<double>(outcome.lanes);
 
-          if (csv.ok()) {
-            csv.add_row(
+          if (csv) {
+            csv->add_row(
                 {std::to_string(outcome.lanes), std::to_string(base.distance),
                  fmt(p, "%.6g"), fmt(mhz, "%.6g"),
                  std::to_string(outcome.telemetry.engines), base.policy,
@@ -190,7 +159,7 @@ int main(int argc, char** argv) {
                  fmt(us_per_round, "%.4f"), fmt(rounds_per_sec, "%.6g"),
                  std::to_string(outcome.overflow_lanes),
                  std::to_string(outcome.failed_lanes), fmt(failed_frac)});
-            csv.flush();
+            csv->flush();
           }
           table.add_row({std::to_string(outcome.lanes), fmt(p, "%.4g"),
                          fmt(mhz, "%.6g"),
@@ -215,29 +184,11 @@ int main(int argc, char** argv) {
                 .add("overflow_lanes", outcome.overflow_lanes)
                 .add("failed_lanes", outcome.failed_lanes)
                 .add("failed_frac", failed_frac);
-            if (outcome.tracer) {
-              const auto emitted = outcome.tracer->emitted();
-              cell.add_raw(
-                  "obs",
-                  qec::bench::JsonObject()
-                      .add("events", static_cast<std::int64_t>(emitted))
-                      .add("dropped", static_cast<std::int64_t>(
-                                          outcome.tracer->dropped()))
-                      .add("events_per_lane_round",
-                           lane_rounds ? static_cast<double>(emitted) /
-                                             static_cast<double>(lane_rounds)
-                                       : 0.0)
-                      .str());
-            }
-            if (outcome.slo) {
-              cell.add_raw("slo", outcome.slo->summary_json());
-            }
+            qec::bench::StreamObsExports::add_to_cell(cell, outcome,
+                                                      lane_rounds);
             json_cells.push_back(cell.str());
           }
-          last_tracer = outcome.tracer;
-          last_metrics = outcome.metrics;
-          last_profiler = outcome.profiler;
-          last_slo = outcome.slo;
+          exports.keep(outcome);
         }
       }
     }
@@ -248,29 +199,7 @@ int main(int argc, char** argv) {
     if (!csv_path.empty()) {
       std::printf("scaling curve written to %s\n", csv_path.c_str());
     }
-    using qec::bench::report_written;
-    if (!trace_json.empty() && last_tracer &&
-        !report_written(qec::obs::write_chrome_trace(*last_tracer, trace_json,
-                                                     last_profiler.get()),
-                        "event trace (last cell)", trace_json)) {
-      return 1;
-    }
-    if (!metrics_csv.empty() && last_metrics &&
-        !report_written(last_metrics->write_csv(metrics_csv),
-                        "windowed metrics (last cell)", metrics_csv)) {
-      return 1;
-    }
-    if (!profile_csv.empty() && last_profiler &&
-        !report_written(last_profiler->write_csv(profile_csv),
-                        "wall-clock profile (last cell)", profile_csv)) {
-      return 1;
-    }
-    if (!prom_snapshot.empty() && last_metrics &&
-        !report_written(qec::obs::write_prom_snapshot(
-                            *last_metrics, last_slo.get(), prom_snapshot),
-                        "prometheus snapshot (last cell)", prom_snapshot)) {
-      return 1;
-    }
+    if (!exports.write(" (last cell)")) return 1;
     if (!json_path.empty()) {
       const std::string config_json =
           qec::bench::JsonObject()

@@ -26,17 +26,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/table.hpp"
-#include "obs/chrome_trace.hpp"
-#include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/admission.hpp"
 #include "stream/scheduler.hpp"
@@ -97,28 +93,18 @@ constexpr const char* kOptions =
     "  --latency-csv=FILE    per-lane sojourn latency rows for every cell\n"
     "  --json=FILE           write a machine-readable run record to FILE\n"
     "                        (config, git revision, per-cell wall-clock and\n"
-    "                        lane-rounds/s — same shape as lane_scaling's)\n"
-    "  --trace-json=FILE     Chrome-trace-event timeline of the LAST cell\n"
-    "                        (tracing is on for every cell; per-cell event\n"
-    "                        counts land in the --json obs block)\n"
-    "  --trace-ring=16384    per-track event ring capacity\n"
-    "  --metrics-csv=FILE    windowed metrics time series of the LAST cell\n"
-    "  --metrics-window=64   rounds per metrics window\n"
-    "  --profile-csv=FILE    per-stage wall-clock self-profile of the LAST\n"
-    "                        cell (enables profiling for every cell;\n"
-    "                        wall-clock values are non-deterministic)\n"
-    "  --slo=SPEC            SLO burn-rate objectives per cell, e.g.\n"
-    "                        'sojourn_p99<8' (implies windowed metrics;\n"
-    "                        per-cell compliance lands in the --json\n"
-    "                        record's slo block)\n"
-    "  --prom-snapshot=FILE  Prometheus snapshot of the LAST cell's final\n"
-    "                        cumulative metrics (implies metrics)\n";
+    "                        lane-rounds/s — same shape as lane_scaling's)\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
-  if (qec::handle_help(args, "pool_scaling", kSummary, kOptions)) return 0;
+  const std::string options = std::string(kOptions) +
+                              qec::bench::kSweepObsNote +
+                              qec::bench::kStreamObsOptions;
+  if (qec::handle_help(args, "pool_scaling", kSummary, options.c_str())) {
+    return 0;
+  }
   try {
     qec::StreamConfig base;
     base.lanes = static_cast<int>(args.get_int_or("lanes", 32));
@@ -131,18 +117,7 @@ int main(int argc, char** argv) {
     base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
     base.budget_w = args.get_double_or("budget-w", 0.0);
     base.threads = qec::threads_override(args, 1);
-    const std::string trace_json = args.get_or("trace-json", "");
-    const std::string metrics_csv = args.get_or("metrics-csv", "");
-    base.obs.trace = !trace_json.empty();
-    base.obs.trace_ring =
-        static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
-    const std::string profile_csv = args.get_or("profile-csv", "");
-    const std::string prom_snapshot = args.get_or("prom-snapshot", "");
-    base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-    base.obs.metrics_window = static_cast<int>(
-        args.get_int_or("metrics-window", base.obs.metrics_window));
-    base.obs.profile = !profile_csv.empty();
-    base.obs.slo = args.get_or("slo", "");
+    qec::bench::StreamObsExports exports(args, base.obs);
 
     qec::bench::print_header(
         "Pool scaling: K shared decoder engines serving N lanes",
@@ -173,7 +148,6 @@ int main(int argc, char** argv) {
     for (const auto& admission : admissions) {
       qec::parse_admission_spec(admission);
     }
-    if (!base.obs.slo.empty()) qec::obs::parse_slo_spec(base.obs.slo);
     if (base.budget_w > 0) {
       for (const double mhz : clocks_mhz) {
         if (mhz <= 0) {
@@ -191,33 +165,27 @@ int main(int argc, char** argv) {
       }
     }
 
+    const std::string csv_path = args.get_or("csv", "");
+    auto csv = qec::bench::open_csv(
+        csv_path,
+        {"policy", "admission", "lanes", "engines", "k_over_n", "mhz",
+         "budget", "watts", "budget_w", "overflow_lanes", "undrained_lanes",
+         "logical_failures", "failed_lanes", "failed_frac", "surviving_lanes",
+         "lanes_per_watt", "utilization", "fairness", "starved_rounds",
+         "paused_rounds", "soj_p50", "soj_p95", "soj_p99", "soj_max"});
+    const std::string latency_path = args.get_or("latency-csv", "");
+    auto latency_csv = qec::bench::open_csv(
+        latency_path,
+        {"policy", "admission", "lanes", "engines", "mhz", "lane", "samples",
+         "soj_p50", "soj_p95", "soj_p99", "soj_max"});
+
     const qec::SyndromeTrace trace = qec::record_trace(base);
     std::printf("trace: %d lanes, d=%d, %d rounds, p=%g, seed %llu\n\n",
                 trace.lanes(), base.distance, trace.rounds(), base.p,
                 static_cast<unsigned long long>(base.seed));
 
-    const std::string csv_path = args.get_or("csv", "");
-    qec::CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
-                       {"policy", "admission", "lanes", "engines", "k_over_n",
-                        "mhz", "budget", "watts", "budget_w",
-                        "overflow_lanes", "undrained_lanes",
-                        "logical_failures", "failed_lanes", "failed_frac",
-                        "surviving_lanes", "lanes_per_watt", "utilization",
-                        "fairness", "starved_rounds", "paused_rounds",
-                        "soj_p50", "soj_p95", "soj_p99", "soj_max"});
-
     const std::string json_path = args.get_or("json", "");
     std::vector<std::string> json_cells;
-    std::shared_ptr<qec::obs::Tracer> last_tracer;
-    std::shared_ptr<qec::obs::MetricsRegistry> last_metrics;
-    std::shared_ptr<qec::obs::Profiler> last_profiler;
-    std::shared_ptr<qec::obs::SloEngine> last_slo;
-
-    const std::string latency_path = args.get_or("latency-csv", "");
-    qec::CsvWriter latency_csv(
-        latency_path.empty() ? "/dev/null" : latency_path,
-        {"policy", "admission", "lanes", "engines", "mhz", "lane", "samples",
-         "soj_p50", "soj_p95", "soj_p99", "soj_max"});
 
     qec::TextTable table({"policy", "admission", "K/N", "mhz", "watts",
                           "failed", "overflow", "paused", "soj_p99",
@@ -275,14 +243,10 @@ int main(int argc, char** argv) {
                 static_cast<int>(outcome.telemetry.lanes.size()) -
                 outcome.drained_lanes - outcome.overflow_lanes;
             const double fairness = outcome.telemetry.fairness_index();
-            const std::uint64_t soj_max =
-                all.sojourn_rounds.empty()
-                    ? 0
-                    : *std::max_element(all.sojourn_rounds.begin(),
-                                        all.sojourn_rounds.end());
+            const qec::RankSummary soj = qec::rank_summary(all.sojourn_rounds);
 
-            if (csv.ok()) {
-              csv.add_row(
+            if (csv) {
+              csv->add_row(
                   {policy, admission, std::to_string(outcome.lanes),
                    std::to_string(ran_engines), fmt(k_over_n),
                    fmt(mhz, "%.6g"), fmt(config.cycles_per_round, "%.6g"),
@@ -294,35 +258,27 @@ int main(int argc, char** argv) {
                    std::to_string(surviving), fmt(lanes_per_watt, "%.6g"),
                    fmt(util), fmt(fairness),
                    std::to_string(all.starved_rounds),
-                   std::to_string(all.paused_rounds),
-                   std::to_string(all.sojourn_percentile(50)),
-                   std::to_string(all.sojourn_percentile(95)),
-                   std::to_string(all.sojourn_percentile(99)),
-                   std::to_string(soj_max)});
-              csv.flush();
+                   std::to_string(all.paused_rounds), std::to_string(soj.p50),
+                   std::to_string(soj.p95), std::to_string(soj.p99),
+                   std::to_string(soj.max)});
+              csv->flush();
             }
-            if (!latency_path.empty() && latency_csv.ok()) {
+            if (latency_csv) {
               const auto emit_latency = [&](const qec::LaneTelemetry& t,
                                             const std::string& label) {
-                const std::uint64_t lane_max =
-                    t.sojourn_rounds.empty()
-                        ? 0
-                        : *std::max_element(t.sojourn_rounds.begin(),
-                                            t.sojourn_rounds.end());
-                latency_csv.add_row(
+                const qec::RankSummary s = qec::rank_summary(t.sojourn_rounds);
+                latency_csv->add_row(
                     {policy, admission, std::to_string(outcome.lanes),
                      std::to_string(ran_engines), fmt(mhz, "%.6g"), label,
-                     std::to_string(t.sojourn_rounds.size()),
-                     std::to_string(t.sojourn_percentile(50)),
-                     std::to_string(t.sojourn_percentile(95)),
-                     std::to_string(t.sojourn_percentile(99)),
-                     std::to_string(lane_max)});
+                     std::to_string(s.count), std::to_string(s.p50),
+                     std::to_string(s.p95), std::to_string(s.p99),
+                     std::to_string(s.max)});
               };
               for (const auto& lane : outcome.telemetry.lanes) {
                 emit_latency(lane, std::to_string(lane.lane));
               }
               emit_latency(all, "all");
-              latency_csv.flush();
+              latency_csv->flush();
             }
             if (!json_path.empty()) {
               const std::int64_t lane_rounds =
@@ -347,36 +303,18 @@ int main(int argc, char** argv) {
                   .add("failed_lanes", outcome.failed_lanes)
                   .add("failed_frac", failed_frac)
                   .add("watts", watts);
-              if (outcome.tracer) {
-                const auto emitted = outcome.tracer->emitted();
-                cell.add_raw(
-                    "obs",
-                    qec::bench::JsonObject()
-                        .add("events", static_cast<std::int64_t>(emitted))
-                        .add("dropped", static_cast<std::int64_t>(
-                                            outcome.tracer->dropped()))
-                        .add("events_per_lane_round",
-                             lane_rounds ? static_cast<double>(emitted) /
-                                               static_cast<double>(lane_rounds)
-                                         : 0.0)
-                        .str());
-              }
-              if (outcome.slo) {
-                cell.add_raw("slo", outcome.slo->summary_json());
-              }
+              qec::bench::StreamObsExports::add_to_cell(cell, outcome,
+                                                        lane_rounds);
               json_cells.push_back(cell.str());
             }
-            last_tracer = outcome.tracer;
-            last_metrics = outcome.metrics;
-            last_profiler = outcome.profiler;
-            last_slo = outcome.slo;
+            exports.keep(outcome);
             table.add_row({policy, admission, fmt(k_over_n),
                            fmt(mhz, "%.6g"), fmt(watts, "%.3g"),
                            std::to_string(outcome.failed_lanes) + "/" +
                                std::to_string(outcome.lanes),
                            std::to_string(outcome.overflow_lanes),
                            std::to_string(all.paused_rounds),
-                           std::to_string(all.sojourn_percentile(99)),
+                           std::to_string(soj.p99),
                            fmt(fairness), fmt(util)});
           }
         }
@@ -400,29 +338,7 @@ int main(int argc, char** argv) {
       std::printf("per-lane sojourn latency written to %s\n",
                   latency_path.c_str());
     }
-    using qec::bench::report_written;
-    if (!trace_json.empty() && last_tracer &&
-        !report_written(qec::obs::write_chrome_trace(*last_tracer, trace_json,
-                                                     last_profiler.get()),
-                        "event trace (last cell)", trace_json)) {
-      return 1;
-    }
-    if (!metrics_csv.empty() && last_metrics &&
-        !report_written(last_metrics->write_csv(metrics_csv),
-                        "windowed metrics (last cell)", metrics_csv)) {
-      return 1;
-    }
-    if (!profile_csv.empty() && last_profiler &&
-        !report_written(last_profiler->write_csv(profile_csv),
-                        "wall-clock profile (last cell)", profile_csv)) {
-      return 1;
-    }
-    if (!prom_snapshot.empty() && last_metrics &&
-        !report_written(qec::obs::write_prom_snapshot(
-                            *last_metrics, last_slo.get(), prom_snapshot),
-                        "prometheus snapshot (last cell)", prom_snapshot)) {
-      return 1;
-    }
+    if (!exports.write(" (last cell)")) return 1;
     if (!json_path.empty()) {
       std::vector<std::string> policy_items, admission_items, pool_items;
       for (const auto& p : policies) {

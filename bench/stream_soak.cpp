@@ -21,13 +21,13 @@
 // per-lane overflow/drain outcomes exactly.
 #include <chrono>
 #include <cstdio>
+#include <tuple>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "decoder/registry.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/postmortem.hpp"
-#include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/admission.hpp"
 #include "stream/scheduler.hpp"
@@ -64,22 +64,9 @@ constexpr const char* kOptions =
     "  --timeline-csv=FILE   per-round aggregate depth timeline CSV\n"
     "  --latency-csv=FILE    per-lane end-to-end sojourn latency CSV\n"
     "  --trace-out=FILE      save the recorded syndrome trace ('QTRC')\n"
-    "  --trace-in=FILE       replay a previously recorded trace\n"
-    "  --trace-json=FILE     event timeline as Chrome trace JSON (open in\n"
-    "                        Perfetto / chrome://tracing; ts = logical round)\n"
-    "  --trace-ring=16384    per-track event ring capacity (flight recorder:\n"
-    "                        oldest events drop once full)\n"
-    "  --metrics-csv=FILE    windowed metrics time-series CSV\n"
-    "  --metrics-window=64   rounds per metrics window\n"
-    "  --profile-csv=FILE    per-stage wall-clock self-profile CSV (enables\n"
-    "                        profiling; wall-clock values are explicitly\n"
-    "                        non-deterministic — docs/observability.md)\n"
-    "  --slo=SPEC            SLO burn-rate objectives, e.g.\n"
-    "                        'sojourn_p99<8,window=256' (implies windowed\n"
-    "                        metrics; verdicts are thread-count invariant)\n"
-    "  --slo-csv=FILE        per-window SLO verdict CSV\n"
-    "  --prom-snapshot=FILE  Prometheus text-exposition snapshot of the\n"
-    "                        final cumulative metrics (implies metrics)\n"
+    "  --trace-in=FILE       replay a previously recorded trace\n";
+
+constexpr const char* kDumpOption =
     "  --dump-obs-on-exit[=DIR]\n"
     "                        arm the postmortem flight recorder: dump the\n"
     "                        obs bundle to DIR (default obs_bundle) at\n"
@@ -89,7 +76,11 @@ constexpr const char* kOptions =
 
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
-  if (qec::handle_help(args, "stream_soak", kSummary, kOptions)) return 0;
+  const std::string options =
+      std::string(kOptions) + qec::bench::kStreamObsOptions + kDumpOption;
+  if (qec::handle_help(args, "stream_soak", kSummary, options.c_str())) {
+    return 0;
+  }
   if (qec::reject_removed_flags(args, "stream_soak", {"cache", "cache-csv"},
                                 "the decode-window cache was deleted")) {
     return 1;
@@ -112,21 +103,9 @@ int main(int argc, char** argv) {
     config.rounds_per_dispatch =
         static_cast<int>(args.get_int_or("dispatch", 1));
     config.threads = qec::threads_override(args, 1);
-    const std::string trace_json = args.get_or("trace-json", "");
-    const std::string metrics_csv = args.get_or("metrics-csv", "");
-    config.obs.trace = !trace_json.empty();
-    config.obs.trace_ring =
-        static_cast<int>(args.get_int_or("trace-ring", config.obs.trace_ring));
-    const std::string profile_csv = args.get_or("profile-csv", "");
-    const std::string slo_csv = args.get_or("slo-csv", "");
-    const std::string prom_snapshot = args.get_or("prom-snapshot", "");
+    qec::bench::StreamObsExports exports(args, config.obs);
     const auto dump_dir =
         qec::optional_value_flag(args, "dump-obs-on-exit", "obs_bundle");
-    config.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-    config.obs.metrics_window = static_cast<int>(
-        args.get_int_or("metrics-window", config.obs.metrics_window));
-    config.obs.profile = !profile_csv.empty();
-    config.obs.slo = args.get_or("slo", "");
     if (dump_dir) {
       config.obs.dump_dir = *dump_dir;
       qec::obs::FlightRecorder::install_signal_handlers();
@@ -141,7 +120,6 @@ int main(int argc, char** argv) {
     qec::online_engine_config(config.engine);
     qec::make_scheduler_policy(config.policy);
     qec::parse_admission_spec(config.admission);
-    if (!config.obs.slo.empty()) qec::obs::parse_slo_spec(config.obs.slo);
 
     qec::SyndromeTrace trace;
     const std::string trace_in = args.get_or("trace-in", "");
@@ -191,14 +169,14 @@ int main(int argc, char** argv) {
     table.add_row({"failed lanes (any cause)",
                    std::to_string(outcome.failed_lanes)});
     table.add_row({"popped layers (all lanes)", std::to_string(all.popped_layers)});
-    table.add_row({"layer cycles p50/p95/p99",
-                   std::to_string(all.cycle_percentile(50)) + " / " +
-                       std::to_string(all.cycle_percentile(95)) + " / " +
-                       std::to_string(all.cycle_percentile(99))});
-    table.add_row({"sojourn rounds p50/p95/p99",
-                   std::to_string(all.sojourn_percentile(50)) + " / " +
-                       std::to_string(all.sojourn_percentile(95)) + " / " +
-                       std::to_string(all.sojourn_percentile(99))});
+    for (const auto& [label, samples] :
+         {std::pair{"layer cycles p50/p95/p99", &all.layer_cycles},
+          std::pair{"sojourn rounds p50/p95/p99", &all.sojourn_rounds}}) {
+      const qec::RankSummary s = qec::rank_summary(*samples);
+      table.add_row({label, std::to_string(s.p50) + " / " +
+                                std::to_string(s.p95) + " / " +
+                                std::to_string(s.p99)});
+    }
     table.add_row({"queue depth mean / max",
                    qec::TextTable::fmt(all.mean_depth(), 3) + " / " +
                        std::to_string(all.max_depth())});
@@ -239,61 +217,32 @@ int main(int argc, char** argv) {
       // Export time shows up as the kTraceExport stage when profiling.
       qec::obs::ScopedStage prof(outcome.profiler.get(),
                                  qec::obs::Stage::kTraceExport);
-      using qec::bench::report_written;
-      const std::string csv = args.get_or("csv", "");
-      if (!csv.empty() &&
-          !report_written(outcome.telemetry.write_csv(csv), "telemetry", csv)) {
-        return 1;
-      }
-      const std::string sched_csv = args.get_or("sched-csv", "");
-      if (!sched_csv.empty() &&
-          !report_written(outcome.telemetry.write_schedule_csv(sched_csv),
-                          "schedule report", sched_csv)) {
-        return 1;
-      }
-      const std::string timeline_csv = args.get_or("timeline-csv", "");
-      if (!timeline_csv.empty() &&
-          !report_written(outcome.telemetry.write_timeline_csv(timeline_csv),
-                          "round timeline", timeline_csv)) {
-        return 1;
-      }
-      const std::string latency_csv = args.get_or("latency-csv", "");
-      if (!latency_csv.empty() &&
-          !report_written(outcome.telemetry.write_latency_csv(latency_csv),
-                          "sojourn latency report", latency_csv)) {
-        return 1;
-      }
-      if (!trace_json.empty() &&
-          !report_written(
-              qec::obs::write_chrome_trace(*outcome.tracer, trace_json,
-                                           outcome.profiler.get()),
-              "event trace (open in Perfetto)", trace_json)) {
-        return 1;
-      }
-      if (!metrics_csv.empty() &&
-          !report_written(outcome.metrics->write_csv(metrics_csv),
-                          "windowed metrics", metrics_csv)) {
-        return 1;
-      }
-      if (!slo_csv.empty() &&
-          !report_written(outcome.slo ? outcome.slo->write_csv(slo_csv) : false,
-                          "slo verdicts", slo_csv)) {
-        return 1;
-      }
-      if (!prom_snapshot.empty() &&
-          !report_written(
-              qec::obs::write_prom_snapshot(*outcome.metrics,
-                                            outcome.slo.get(), prom_snapshot),
-              "prometheus snapshot", prom_snapshot)) {
-        return 1;
+      using Writer = bool (qec::StreamTelemetry::*)(const std::string&) const;
+      for (const auto& [flag, what, write] :
+           {std::tuple<const char*, const char*, Writer>{
+                "csv", "telemetry", &qec::StreamTelemetry::write_csv},
+            {"sched-csv", "schedule report",
+             &qec::StreamTelemetry::write_schedule_csv},
+            {"timeline-csv", "round timeline",
+             &qec::StreamTelemetry::write_timeline_csv},
+            {"latency-csv", "sojourn latency report",
+             &qec::StreamTelemetry::write_latency_csv}}) {
+        const std::string path = args.get_or(flag, "");
+        if (!path.empty() &&
+            !qec::bench::report_written((outcome.telemetry.*write)(path),
+                                        what, path)) {
+          return 1;
+        }
       }
     }
-    if (!profile_csv.empty() &&
-        !qec::bench::report_written(outcome.profiler->write_csv(profile_csv),
-                                    "wall-clock profile", profile_csv)) {
-      return 1;
-    }
-    if (dump_dir && qec::obs::FlightRecorder::instance().dump("exit")) {
+    exports.keep(outcome);
+    if (!exports.write()) return 1;
+    if (dump_dir) {
+      if (!qec::obs::FlightRecorder::instance().dump("exit")) {
+        std::fprintf(stderr, "cannot write obs bundle to %s\n",
+                     dump_dir->c_str());
+        return 1;
+      }
       std::printf("obs bundle dumped to %s\n", dump_dir->c_str());
     }
     return outcome.overflow_lanes == outcome.lanes ? 2 : 0;

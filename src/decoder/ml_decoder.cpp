@@ -1,5 +1,6 @@
 #include "decoder/ml_decoder.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -70,7 +71,7 @@ DecodeResult MaximumLikelihoodDecoder::decode(const PlanarLattice& lattice,
     }
     if (i + 1 == total) break;
     // Gray-code step: flip qubit = count of trailing ones of i.
-    const int q = __builtin_ctzll(i + 1);
+    const int q = std::countr_zero(i + 1);
     const std::uint64_t bit = std::uint64_t{1} << static_cast<unsigned>(q);
     pattern ^= bit;
     running_syndrome ^= check_mask[static_cast<std::size_t>(q)];

@@ -103,7 +103,19 @@ void MetricsRegistry::tick(std::int64_t round) {
 }
 
 void MetricsRegistry::finish() {
-  if (open_ && ticks_ > 0) close_window(/*partial=*/true);
+  if (open_) {
+    close_window(/*partial=*/true);
+    return;
+  }
+  // Counts fed after the last close with no round following them fold
+  // into that window, so each counter column still sums to its total.
+  if (rows_.empty()) return;
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    Counter& counter = counters_[i];
+    rows_.back()[kLeadColumns + i] += static_cast<std::int64_t>(counter.window);
+    counter.total += counter.window;
+    counter.window = 0;
+  }
 }
 
 std::vector<std::string> MetricsRegistry::value_schema() const {
@@ -148,27 +160,17 @@ void MetricsRegistry::close_window(bool partial) {
     observer_(snapshot);
   }
 
-  std::vector<std::string> row;
-  row.reserve(5 + counters_.size() + gauges_.size() + 5 * histograms_.size());
-  row.push_back(std::to_string(rows_.size()));
-  row.push_back(std::to_string(first_));
-  row.push_back(std::to_string(last_));
-  row.push_back(std::to_string(ticks_));
-  row.push_back(partial ? "1" : "0");
-  for (auto& counter : counters_) {
-    row.push_back(std::to_string(counter.window));
+  std::vector<std::int64_t> row = {static_cast<std::int64_t>(rows_.size()),
+                                   first_, last_, ticks_, partial ? 1 : 0};
+  row.insert(row.end(), values.begin(), values.end());
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    Counter& counter = counters_[i];
+    // Re-read: the observer may have bumped this counter.
+    row[kLeadColumns + i] = static_cast<std::int64_t>(counter.window);
     counter.total += counter.window;
     counter.window = 0;  // counters report per-window deltas
   }
-  for (const auto& gauge : gauges_) {
-    row.push_back(std::to_string(gauge.value));  // value at window close
-  }
   for (auto& histogram : histograms_) {
-    row.push_back(std::to_string(histogram.hist.count()));
-    row.push_back(std::to_string(histogram.hist.quantile(50)));
-    row.push_back(std::to_string(histogram.hist.quantile(95)));
-    row.push_back(std::to_string(histogram.hist.quantile(99)));
-    row.push_back(std::to_string(histogram.hist.max()));
     histogram.total.merge(histogram.hist);
     histogram.hist.reset();  // histograms cover one window each
   }
@@ -184,20 +186,28 @@ std::vector<std::string> MetricsRegistry::header() const {
   return header;
 }
 
-bool MetricsRegistry::write_csv(const std::string& path) const {
+bool MetricsRegistry::write_rows(const std::string& path,
+                                 std::size_t first) const {
   CsvWriter csv(path, header());
   if (!csv.ok()) return false;
-  for (const auto& row : rows_) csv.add_row(row);
+  for (std::size_t r = first; r < rows_.size(); ++r) {
+    std::vector<std::string> cells;
+    cells.reserve(rows_[r].size());
+    for (const std::int64_t value : rows_[r]) {
+      cells.push_back(std::to_string(value));
+    }
+    csv.add_row(cells);
+  }
   csv.flush();
   return true;
 }
 
+bool MetricsRegistry::write_csv(const std::string& path) const {
+  return write_rows(path, 0);
+}
+
 bool MetricsRegistry::write_last_window_csv(const std::string& path) const {
-  CsvWriter csv(path, header());
-  if (!csv.ok()) return false;
-  if (!rows_.empty()) csv.add_row(rows_.back());
-  csv.flush();
-  return true;
+  return write_rows(path, rows_.empty() ? 0 : rows_.size() - 1);
 }
 
 }  // namespace qec::obs

@@ -90,7 +90,9 @@ struct WindowSnapshot {
 /// at the window's close, histograms the window's count/p50/p95/p99/max —
 /// and appends one CSV row. finish() flushes the trailing partial window
 /// (flagged by the `partial` column) so short runs and non-multiple round
-/// counts never lose their tail.
+/// counts never lose their tail; counts fed after the last tick with no
+/// round following them fold into the last window instead, so every
+/// counter column sums to the counter's lifetime total.
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(int window);
@@ -113,7 +115,9 @@ class MetricsRegistry {
   /// spans `window()` rounds. Rounds must be fed in nondecreasing order.
   void tick(std::int64_t round);
 
-  /// Closes the trailing partial window, if any rounds are pending.
+  /// Closes the trailing partial window, if any rounds are pending;
+  /// otherwise folds any counts fed since the last close into that
+  /// window's row (its observer has already run and does not see them).
   void finish();
 
   int window() const { return window_; }
@@ -166,8 +170,12 @@ class MetricsRegistry {
   bool write_last_window_csv(const std::string& path) const;
 
  private:
+  /// Window ordinal, round_first, round_last, rounds, partial.
+  static constexpr std::size_t kLeadColumns = 5;
+
   void close_window(bool partial);
   std::vector<std::string> header() const;
+  bool write_rows(const std::string& path, std::size_t first) const;
 
   struct Counter {
     std::string name;
@@ -194,7 +202,8 @@ class MetricsRegistry {
   std::int64_t first_ = 0;       ///< first round of the open window
   std::int64_t last_ = 0;        ///< latest round ticked
   std::int64_t ticks_ = 0;       ///< rounds executed in the open window
-  std::vector<std::vector<std::string>> rows_;
+  /// One row per closed window: the lead columns, then value_schema().
+  std::vector<std::vector<std::int64_t>> rows_;
 };
 
 }  // namespace qec::obs

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include <cstdio>
 
@@ -99,25 +100,33 @@ enum Metric : int {
   kMetricCount,
 };
 
+/// A counter sums its RoundSample field over the window, a gauge reports
+/// the field's value at the window's close; the two histograms have no
+/// field — they observe every lane's depth and sojourn samples instead.
 struct MetricDef {
   const char* name;
   int (obs::MetricsRegistry::*add)(const std::string&);
+  int RoundSample::*field;
 };
 
+constexpr auto kCounter = &obs::MetricsRegistry::add_counter;
+constexpr auto kGauge = &obs::MetricsRegistry::add_gauge;
+constexpr auto kHistogram = &obs::MetricsRegistry::add_histogram;
+
 constexpr MetricDef kMetricDefs[kMetricCount] = {
-    {"pushes", &obs::MetricsRegistry::add_counter},
-    {"drain_pushes", &obs::MetricsRegistry::add_counter},
-    {"pops", &obs::MetricsRegistry::add_counter},
-    {"serves", &obs::MetricsRegistry::add_counter},
-    {"starves", &obs::MetricsRegistry::add_counter},
-    {"overflows", &obs::MetricsRegistry::add_counter},
-    {"pauses", &obs::MetricsRegistry::add_counter},
-    {"resumes", &obs::MetricsRegistry::add_counter},
-    {"live_lanes", &obs::MetricsRegistry::add_gauge},
-    {"paused_lanes", &obs::MetricsRegistry::add_gauge},
-    {"overflowed_lanes", &obs::MetricsRegistry::add_gauge},
-    {"depth", &obs::MetricsRegistry::add_histogram},
-    {"sojourn", &obs::MetricsRegistry::add_histogram},
+    {"pushes", kCounter, &RoundSample::pushes},
+    {"drain_pushes", kCounter, &RoundSample::drain_pushes},
+    {"pops", kCounter, &RoundSample::pops},
+    {"serves", kCounter, &RoundSample::served_lanes},
+    {"starves", kCounter, &RoundSample::starved_lanes},
+    {"overflows", kCounter, &RoundSample::overflows},
+    {"pauses", kCounter, &RoundSample::pauses},
+    {"resumes", kCounter, &RoundSample::resumes},
+    {"live_lanes", kGauge, &RoundSample::live_lanes},
+    {"paused_lanes", kGauge, &RoundSample::paused_lanes},
+    {"overflowed_lanes", kGauge, &RoundSample::overflowed_lanes},
+    {"depth", kHistogram, nullptr},
+    {"sojourn", kHistogram, nullptr},
 };
 
 /// Wall-clock profile feed, one counter per obs::Stage in stage order.
@@ -194,10 +203,8 @@ class PoolScheduler {
     cycles_.assign(slots, 0);
     flags_.assign(slots, 0);
     depth_scratch_.assign(slots, 0);
-    if (metrics_) {
-      pops_.assign(slots, 0);
-      samples_after_.assign(slots, 0);
-    }
+    pops_.assign(slots, 0);
+    samples_after_.assign(slots, 0);
     {
       // Profiler stage scopes (here and below) cost one branch each when
       // profiling is off and never touch any outcome — timing is observed,
@@ -212,10 +219,15 @@ class PoolScheduler {
   }
 
   /// Flushes the trailing partial metrics window (feeding it the last
-  /// profile deltas first) — the run_stream epilogue.
+  /// profile deltas first) — the run_stream epilogue. Transitions the
+  /// final admission pass applied (a resume that finished the last lane)
+  /// have no round to ride on; the registry folds them into its last
+  /// window, so every counter column still sums to the whole-run total.
   void finish_metrics() {
     if (!metrics_) return;
     obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
+    metrics_->count(m_[kPauses], static_cast<std::uint64_t>(pending_.pauses));
+    metrics_->count(m_[kResumes], static_cast<std::uint64_t>(pending_.resumes));
     feed_profile();
     metrics_->finish();
   }
@@ -263,8 +275,8 @@ class PoolScheduler {
     if (step == AdmissionStep::kResume) {
       lane.stepper.resume();
       ++lane.telemetry.resumes;
+      ++pending_.resumes;
       if (lane.track) trace_admission_resume(*lane.track, round, depth);
-      if (metrics_) metrics_->count(m_[kResumes]);
       return true;
     }
     // checkpoint() freezes the clock; the returned patch snapshot is the
@@ -272,11 +284,11 @@ class PoolScheduler {
     // exercise it directly.
     (void)lane.stepper.checkpoint();
     ++lane.telemetry.pauses;
+    ++pending_.pauses;
     if (lane.track) {
       trace_admission_pause(*lane.track, round,
                             step == AdmissionStep::kPauseCodel, depth);
     }
-    if (metrics_) metrics_->count(m_[kPauses]);
     return true;
   }
 
@@ -367,12 +379,7 @@ class PoolScheduler {
                        : lane.stepper.push_clean();
           if (serve) {
             flags |= kPushed;
-            if (real) {
-              ++lane.cursor;
-              ++lane.telemetry.rounds_streamed;
-            } else {
-              ++lane.telemetry.drain_rounds;
-            }
+            if (real) ++lane.cursor;
             lane.qos.on_push(round, real);
             if (lane.track) {
               lane.track->emit(obs::EventKind::kPush,
@@ -400,17 +407,19 @@ class PoolScheduler {
           if (lane.track) {
             lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
           }
-          if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
+          pops_[idx] = lane.stepper.last_spend_pops();
         }
         lane.record_depth();
         depth_scratch_[idx] = lane.depth();
-        if (metrics_) samples_after_[idx] = lane.qos.samples().size();
+        samples_after_[idx] = lane.qos.samples().size();
         flags_[idx] = flags;
       }
     });
   }
 
-  /// Reductions in fixed (round, lane/engine) order on this thread.
+  /// The one place a round's lane slots become aggregates: the round's
+  /// RoundSample (timeline row and metrics feed alike) and the engine
+  /// accounting, in fixed (round, lane/engine) order on this thread.
   void reduce(std::int64_t start, int count) {
     obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
     const std::size_t n = lanes_.size();
@@ -428,25 +437,19 @@ class PoolScheduler {
           ++sample.live_lanes;
           if (flags & kTraceLayer) streaming = true;
           if (flags & kStarved) ++sample.starved_lanes;
-          if (!(flags & kPushed)) ++overflowed_so_far_;
-          if (metrics_) {
-            if (flags & kPushed) {
-              metrics_->count(
-                  m_[(flags & kTraceLayer) ? kPushes : kDrainPushes]);
-            } else {
-              metrics_->count(m_[kOverflows]);
-            }
-            if (flags & kStarved) metrics_->count(m_[kStarves]);
+          if (!(flags & kPushed)) {
+            ++sample.overflows;
+          } else if (flags & kTraceLayer) {
+            ++sample.pushes;
+          } else {
+            ++sample.drain_pushes;
           }
         } else {
           ++sample.paused_lanes;
         }
         if (flags & kServed) {
           ++sample.served_lanes;
-          if (metrics_) {
-            metrics_->count(m_[kServes]);
-            metrics_->count(m_[kPops], static_cast<std::uint64_t>(pops_[idx]));
-          }
+          sample.pops += pops_[idx];
         }
         sample.depth_sum += static_cast<std::uint64_t>(depth_scratch_[idx]);
         sample.depth_max = std::max(sample.depth_max, depth_scratch_[idx]);
@@ -456,6 +459,7 @@ class PoolScheduler {
           consume_sojourn(lanes_[i], samples_after_[idx]);
         }
       }
+      overflowed_so_far_ += sample.overflows;
       sample.overflowed_lanes = overflowed_so_far_;
       sample.drain = !streaming;
       // Rounds where every lane has already finished are scheduling
@@ -463,6 +467,8 @@ class PoolScheduler {
       // stats — like the timeline — cover exactly the rounds some lane
       // took part in and stay invariant under rounds_per_dispatch.
       if (sample.live_lanes + sample.paused_lanes == 0) continue;
+      sample.pauses = std::exchange(pending_.pauses, 0);
+      sample.resumes = std::exchange(pending_.resumes, 0);
       if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
       for (int e = 0; e < engines_; ++e) {
         EngineTelemetry& stats = telemetry_.engine_stats[static_cast<std::size_t>(e)];
@@ -487,9 +493,15 @@ class PoolScheduler {
       }
       if (metrics_) {
         obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
-        metrics_->set_gauge(m_[kLiveLanes], sample.live_lanes);
-        metrics_->set_gauge(m_[kPausedLanes], sample.paused_lanes);
-        metrics_->set_gauge(m_[kOverflowedLanes], overflowed_so_far_);
+        for (int k = 0; k < kMetricCount; ++k) {
+          const MetricDef& def = kMetricDefs[k];
+          const int value = def.field ? sample.*def.field : 0;
+          if (def.add == kCounter) {
+            metrics_->count(m_[k], static_cast<std::uint64_t>(value));
+          } else if (def.add == kGauge) {
+            metrics_->set_gauge(m_[k], value);
+          }
+        }
         feed_profile();
         metrics_->tick(sample.round);
       }
@@ -539,6 +551,8 @@ class PoolScheduler {
   const int engines_;
   const int batch_;
   int overflowed_so_far_ = 0;
+  /// Admission transitions not yet carried by a recorded round.
+  RoundSample pending_;
 
   std::array<int, kMetricCount> m_{};           ///< instrument ids by Metric
   std::array<int, obs::kStageCount> m_prof_{};  ///< per-stage nanos counters
@@ -554,8 +568,8 @@ class PoolScheduler {
   std::vector<std::uint8_t> flags_;    // [lane][round]: kActive | ...
   std::vector<int> depth_scratch_;     // [lane][round]: post-round depth
   std::vector<int> served_;            // tracer: per-round consumed grants
-  std::vector<int> pops_;              // metrics: [lane][round] layers popped
-  std::vector<std::size_t> samples_after_;  // metrics: cumulative sojourn count
+  std::vector<int> pops_;              // [lane][round]: layers popped
+  std::vector<std::size_t> samples_after_;  // [lane][round]: sojourn count
 };
 
 std::string json_double(double value) {
@@ -728,7 +742,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   outcome.telemetry.distance = static_cast<int>(trace.header().distance);
   outcome.telemetry.p = trace.header().p_data;
   outcome.telemetry.cycles_per_round = config.cycles_per_round;
-  outcome.telemetry.seed = trace.header().seed;
   outcome.telemetry.engine = config.engine;
   outcome.telemetry.policy = config.policy;
   outcome.telemetry.admission = config.admission;
@@ -800,6 +813,8 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     const OnlineResult result = lane.stepper.result();
     LaneTelemetry& t = lane.telemetry;
     t.overflow = result.overflow;
+    t.rounds_streamed = lane.cursor;
+    t.drain_rounds = lane.stepper.rounds_stepped() - lane.cursor;
     // A lane can reach the round bound paused, or mid-trace with an empty
     // queue (it spent rounds paused): it never consumed the remaining
     // syndrome layers, so it is NOT drained and must not be scored

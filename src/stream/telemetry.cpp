@@ -17,6 +17,26 @@ std::string fmt_double(double value, const char* spec = "%.6g") {
 
 }  // namespace
 
+RankSummary rank_summary(std::vector<std::uint64_t> samples) {
+  RankSummary summary;
+  if (samples.empty()) return summary;
+  std::sort(samples.begin(), samples.end());
+  const auto pct = [&samples](double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q / 100.0 * static_cast<double>(samples.size())));
+    return samples[std::clamp<std::size_t>(rank, 1, samples.size()) - 1];
+  };
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : samples) sum += v;
+  summary.count = samples.size();
+  summary.p50 = pct(50);
+  summary.p95 = pct(95);
+  summary.p99 = pct(99);
+  summary.max = samples.back();
+  summary.mean = static_cast<double>(sum) / static_cast<double>(samples.size());
+  return summary;
+}
+
 double LaneTelemetry::mean_depth() const {
   std::uint64_t rounds = 0, weighted = 0;
   for (std::size_t k = 0; k < depth_hist.size(); ++k) {
@@ -133,17 +153,7 @@ bool StreamTelemetry::write_csv(const std::string& path) const {
                         std::uint64_t overflow_count,
                         std::uint64_t drained_count,
                         std::uint64_t logical_count) {
-    // One sorted copy serves all three percentile columns and the max.
-    std::vector<std::uint64_t> sorted = t.layer_cycles;
-    std::sort(sorted.begin(), sorted.end());
-    const auto pct = [&sorted](double q) -> std::uint64_t {
-      if (sorted.empty()) return 0;
-      auto rank = static_cast<std::size_t>(
-          std::ceil(q / 100.0 * static_cast<double>(sorted.size())));
-      rank = std::clamp<std::size_t>(rank, 1, sorted.size());
-      return sorted[rank - 1];
-    };
-    const std::uint64_t cyc_max = sorted.empty() ? 0 : sorted.back();
+    const RankSummary cyc = rank_summary(t.layer_cycles);
     std::vector<std::string> row = {
         label,
         std::to_string(distance),
@@ -157,10 +167,10 @@ bool StreamTelemetry::write_csv(const std::string& path) const {
         std::to_string(t.drain_rounds),
         std::to_string(t.popped_layers),
         std::to_string(t.total_cycles),
-        std::to_string(pct(50)),
-        std::to_string(pct(95)),
-        std::to_string(pct(99)),
-        std::to_string(cyc_max),
+        std::to_string(cyc.p50),
+        std::to_string(cyc.p95),
+        std::to_string(cyc.p99),
+        std::to_string(cyc.max),
         fmt_double(t.mean_depth(), "%.4f"),
         std::to_string(t.max_depth())};
     for (std::size_t k = 0; k < depth_bins; ++k) {
@@ -192,21 +202,23 @@ bool StreamTelemetry::write_schedule_csv(const std::string& path) const {
 
   const std::string pool_engines = std::to_string(engines);
   const std::string pool_lanes = std::to_string(lanes.size());
-  for (const auto& e : engine_stats) {
-    csv.add_row({"engine", std::to_string(e.engine), policy, admission,
-                 pool_engines, pool_lanes, std::to_string(e.busy_rounds),
-                 std::to_string(e.idle_rounds), "", "", "",
-                 std::to_string(e.cycles), fmt_double(e.utilization(), "%.4f"),
-                 ""});
-  }
   std::int64_t busy = 0, idle = 0;
   std::uint64_t cycles = 0;
   for (const auto& e : engine_stats) {
     busy += e.busy_rounds;
     idle += e.idle_rounds;
     cycles += e.cycles;
+    csv.add_row({"engine", std::to_string(e.engine), policy, admission,
+                 pool_engines, pool_lanes, std::to_string(e.busy_rounds),
+                 std::to_string(e.idle_rounds), "", "", "",
+                 std::to_string(e.cycles), fmt_double(e.utilization(), "%.4f"),
+                 ""});
   }
+  int paused_rounds = 0, pauses = 0, resumes = 0;
   for (const auto& lane : lanes) {
+    paused_rounds += lane.paused_rounds;
+    pauses += lane.pauses;
+    resumes += lane.resumes;
     csv.add_row({"lane", std::to_string(lane.lane), policy, admission,
                  pool_engines, pool_lanes, std::to_string(lane.served_rounds),
                  std::to_string(lane.starved_rounds),
@@ -214,11 +226,10 @@ bool StreamTelemetry::write_schedule_csv(const std::string& path) const {
                  std::to_string(lane.pauses), std::to_string(lane.resumes),
                  std::to_string(lane.total_cycles), "", ""});
   }
-  const auto all = aggregate();
   csv.add_row({"pool", "all", policy, admission, pool_engines, pool_lanes,
                std::to_string(busy), std::to_string(idle),
-               std::to_string(all.paused_rounds), std::to_string(all.pauses),
-               std::to_string(all.resumes), std::to_string(cycles),
+               std::to_string(paused_rounds), std::to_string(pauses),
+               std::to_string(resumes), std::to_string(cycles),
                fmt_double(pool_utilization(), "%.4f"),
                fmt_double(fairness_index(), "%.4f")});
   csv.flush();
@@ -234,30 +245,14 @@ bool StreamTelemetry::write_latency_csv(const std::string& path) const {
 
   const std::string pool_engines = std::to_string(engines);
   const auto emit = [&](const LaneTelemetry& t, const std::string& label) {
-    // One sorted copy serves the percentiles, the max, and the mean.
-    std::vector<std::uint64_t> sorted = t.sojourn_rounds;
-    std::sort(sorted.begin(), sorted.end());
-    const auto pct = [&sorted](double q) -> std::uint64_t {
-      if (sorted.empty()) return 0;
-      auto rank = static_cast<std::size_t>(
-          std::ceil(q / 100.0 * static_cast<double>(sorted.size())));
-      rank = std::clamp<std::size_t>(rank, 1, sorted.size());
-      return sorted[rank - 1];
-    };
-    std::uint64_t sum = 0;
-    for (const std::uint64_t s : sorted) sum += s;
-    const double mean =
-        sorted.empty() ? 0.0
-                       : static_cast<double>(sum) /
-                             static_cast<double>(sorted.size());
+    const RankSummary soj = rank_summary(t.sojourn_rounds);
     csv.add_row({label, std::to_string(distance), fmt_double(p), engine,
                  policy, admission, pool_engines,
                  fmt_double(cycles_per_round), std::to_string(t.pauses),
-                 std::to_string(t.paused_rounds),
-                 std::to_string(sorted.size()), std::to_string(pct(50)),
-                 std::to_string(pct(95)), std::to_string(pct(99)),
-                 std::to_string(sorted.empty() ? 0 : sorted.back()),
-                 fmt_double(mean, "%.4f")});
+                 std::to_string(t.paused_rounds), std::to_string(soj.count),
+                 std::to_string(soj.p50), std::to_string(soj.p95),
+                 std::to_string(soj.p99), std::to_string(soj.max),
+                 fmt_double(soj.mean, "%.4f")});
   };
 
   for (const auto& lane : lanes) emit(lane, std::to_string(lane.lane));

@@ -39,6 +39,19 @@
 
 namespace qec {
 
+/// Exact nearest-rank p50/p95/p99 plus max and mean of one sample set,
+/// all read from a single sorted copy; every field is 0 when empty.
+struct RankSummary {
+  std::size_t count = 0;
+  std::uint64_t p50 = 0;
+  std::uint64_t p95 = 0;
+  std::uint64_t p99 = 0;
+  std::uint64_t max = 0;
+  double mean = 0.0;
+};
+
+RankSummary rank_summary(std::vector<std::uint64_t> samples);
+
 struct LaneTelemetry {
   int lane = 0;
   bool overflow = false;
@@ -47,7 +60,7 @@ struct LaneTelemetry {
   /// operationally; false otherwise, matching run_online_experiment).
   bool logical_failure = false;
 
-  int rounds_streamed = 0;  ///< trace rounds pushed (stops at overflow)
+  int rounds_streamed = 0;  ///< trace rounds pushed (the lane's cursor)
   int drain_rounds = 0;     ///< extra clean rounds pushed
   int served_rounds = 0;    ///< rounds granted a pool engine
   int starved_rounds = 0;   ///< rounds denied an engine while backlogged
@@ -103,7 +116,9 @@ struct EngineTelemetry {
 
 /// One entry per scheduled round: the aggregate queue-depth timeline that
 /// makes overflow cascades under bursty load visible, not just end-of-run
-/// histograms. Rounds where no lane was active are not recorded.
+/// histograms, and the one per-round record the windowed metrics registry
+/// is fed from (its counters sum these counts, its gauges read the lane
+/// counts). Rounds where no lane was active are not recorded.
 struct RoundSample {
   std::int64_t round = 0;    ///< global round index (stream + drain)
   bool drain = false;        ///< false: trace round, true: drain round
@@ -119,6 +134,15 @@ struct RoundSample {
   std::uint64_t depth_sum = 0;
   int depth_max = 0;
   std::uint64_t cycles = 0;  ///< decode cycles consumed this round (all engines)
+  int pushes = 0;            ///< trace layers accepted
+  int drain_pushes = 0;      ///< clean drain layers accepted
+  int pops = 0;              ///< layers the served lanes' engines popped
+  int overflows = 0;         ///< lanes lost to overflow this round
+  /// Admission transitions applied since the previous recorded round. A
+  /// run's last ones, with no round after them, go straight to the
+  /// metrics registry's last window.
+  int pauses = 0;
+  int resumes = 0;
 
   /// Mean queue depth over every lane the sample covers (live + paused).
   double depth_mean() const {
@@ -132,7 +156,6 @@ struct StreamTelemetry {
   int distance = 0;
   double p = 0.0;
   double cycles_per_round = 0.0;
-  std::uint64_t seed = 0;
   std::string engine = "qecool";
   std::string policy = "dedicated";
   std::string admission = "overflow";  ///< admission spec (PR 4)

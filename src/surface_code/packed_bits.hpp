@@ -25,15 +25,10 @@
 #include <vector>
 
 // Bit-op backends. QEC_PORTABLE_BITOPS (CMake option, CI-exercised) forces
-// the portable SWAR paths; otherwise prefer C++20 <bit>, then the GCC/Clang
-// builtins. All three backends are branch-free and bit-exact.
+// the portable SWAR paths; otherwise C++20 <bit>, which the library
+// requires anyway. Both backends are branch-free and bit-exact.
 #if !defined(QEC_PORTABLE_BITOPS)
 #include <bit>
-#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
-#define QEC_BITOPS_STD 1
-#elif defined(__GNUC__) || defined(__clang__)
-#define QEC_BITOPS_BUILTIN 1
-#endif
 #endif
 
 namespace qec {
@@ -58,10 +53,8 @@ inline int qec_countr_zero64_swar(std::uint64_t x) {
 
 /// Population count of one 64-bit word.
 inline int qec_popcount64(std::uint64_t x) {
-#if defined(QEC_BITOPS_STD)
+#if !defined(QEC_PORTABLE_BITOPS)
   return std::popcount(x);
-#elif defined(QEC_BITOPS_BUILTIN)
-  return __builtin_popcountll(x);
 #else
   return qec_popcount64_swar(x);
 #endif
@@ -70,10 +63,8 @@ inline int qec_popcount64(std::uint64_t x) {
 /// Index of the lowest set bit of a nonzero 64-bit word.
 inline int qec_countr_zero64(std::uint64_t x) {
   assert(x != 0);
-#if defined(QEC_BITOPS_STD)
+#if !defined(QEC_PORTABLE_BITOPS)
   return std::countr_zero(x);
-#elif defined(QEC_BITOPS_BUILTIN)
-  return __builtin_ctzll(x);
 #else
   return qec_countr_zero64_swar(x);
 #endif

@@ -1,11 +1,12 @@
 // Robustness / fuzz-style tests: random configurations and budgets must
 // never crash, spin, or produce syndrome-inconsistent corrections, and
-// retired command-line flags and malformed numbers must fail loudly
-// instead of being ignored.
+// retired command-line flags, malformed numbers and unwritable outputs
+// must fail loudly instead of being ignored.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 
@@ -202,6 +203,51 @@ TEST(MalformedNumbers, NonPositiveDispatchIsRejected) {
               std::string::npos)
         << command << "\n" << output;
   }
+}
+
+/// A regular file, so "<it>/x" can never be opened for writing.
+std::string not_a_directory() {
+  const std::string path = ::testing::TempDir() + "robustness_notadir";
+  std::ofstream(path) << "a file, not a directory\n";
+  return path;
+}
+
+TEST(UnwritableOutputs, SweepCsvsFailBeforeTheSweepRuns) {
+  // The sweeps used to write their CSVs through a silently failed stream,
+  // print "written to" and exit 0.
+  const std::string bad = not_a_directory() + "/a.csv";
+  for (const auto& [command, never] :
+       {std::pair<std::string, std::string>{
+            std::string(QEC_LANE_SCALING) +
+                " --lanes=2 --rounds=2 --mhz=40 --csv=" + bad,
+            "scaling curve written"},
+        std::pair<std::string, std::string>{
+            std::string(QEC_POOL_SCALING) +
+                " --lanes=2 --rounds=2 --mhz=40 --engines=1 --csv=" + bad,
+            "sweep written"},
+        std::pair<std::string, std::string>{
+            std::string(QEC_POOL_SCALING) +
+                " --lanes=2 --rounds=2 --mhz=40 --engines=1 --latency-csv=" +
+                bad,
+            "latency written"}}) {
+    const auto [status, output] = run_command(command);
+    EXPECT_EQ(status, 1) << command << "\n" << output;
+    EXPECT_NE(output.find("cannot write " + bad), std::string::npos)
+        << command << "\n" << output;
+    EXPECT_EQ(output.find(never), std::string::npos)
+        << command << "\n" << output;
+  }
+}
+
+TEST(UnwritableOutputs, ObsBundleDumpFailureIsNamed) {
+  const std::string bad = not_a_directory() + "/b";
+  const std::string command = std::string(QEC_STREAM_SOAK) +
+                              " --lanes=2 --rounds=4 --dump-obs-on-exit=" + bad;
+  const auto [status, output] = run_command(command);
+  EXPECT_EQ(status, 1) << command << "\n" << output;
+  EXPECT_NE(output.find("cannot write obs bundle to " + bad),
+            std::string::npos)
+      << command << "\n" << output;
 }
 
 }  // namespace

@@ -2,18 +2,22 @@
 // spec parsing fails loudly, the power model caps the pool at the budget,
 // checkpoint()/resume() round-trip on OnlineStepper, admission=pause keeps
 // a bursty lane alive that admission=overflow loses, admission=overflow
-// stays byte-identical to the PR 3 goldens, and pause-mode outcomes are
-// thread-count invariant.
+// stays byte-identical to the PR 3 goldens, pause-mode outcomes are
+// thread-count invariant, and the windowed metrics add up to the whole-run
+// totals under every admission law.
 #include "stream/admission.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/qos.hpp"
 #include "stream/service.hpp"
@@ -592,6 +596,120 @@ TEST(Admission, PauseAccountingIsConsistent) {
   EXPECT_EQ(tl_paused, lane_paused);
   EXPECT_EQ(tl_served, served);
   EXPECT_EQ(tl_cycles, engine_cycles);
+}
+
+/// A CSV file as rows of cells, header first.
+std::vector<std::vector<std::string>> read_csv(const std::string& path) {
+  std::vector<std::vector<std::string>> rows;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    std::vector<std::string> cells;
+    std::stringstream stream(line);
+    for (std::string cell; std::getline(stream, cell, ',');) {
+      cells.push_back(cell);
+    }
+    rows.push_back(cells);
+  }
+  return rows;
+}
+
+/// Column `name` of every data row whose first cell is `key` (any row
+/// when `key` is empty), summed.
+long long column_sum(const std::vector<std::vector<std::string>>& rows,
+                     const std::string& name, const std::string& key = "") {
+  std::size_t col = 0;
+  while (col < rows.at(0).size() && rows[0][col] != name) ++col;
+  EXPECT_LT(col, rows[0].size()) << "no column " << name;
+  long long sum = 0;
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    if (!key.empty() && rows[r][0] != key) continue;
+    if (col < rows[r].size()) sum += std::stoll(rows[r][col]);
+  }
+  return sum;
+}
+
+/// Every counter column of the metrics CSV, and every Prometheus counter,
+/// sums to the whole-run total, for any window size and thread count. The
+/// sparse codel and rotating pause runs end on a resume that finishes the
+/// last lane right after a window close — a count with no round after it,
+/// which must still land in a window.
+TEST(Admission, MetricsColumnSumsEqualWholeRunTotals) {
+  StreamConfig sparse;  // one engine for eight lanes: codel loses a resume
+  sparse.lanes = 8;
+  sparse.distance = 5;
+  sparse.p = 0.02;
+  sparse.rounds = 32;
+  sparse.seed = 1;
+  sparse.engines = 1;
+  sparse.policy = "least_loaded";
+  sparse.cycles_per_round = cycles_per_microsecond(10e6);
+  StreamConfig rotating = sparse;  // pause loses one here
+  rotating.lanes = 12;
+  rotating.rounds = 48;
+  rotating.seed = 7;
+  rotating.engines = 4;
+  rotating.policy = "round_robin";
+  rotating.cycles_per_round = cycles_per_microsecond(40e6);
+
+  const std::string metrics_path = temp_path("sum_m.csv");
+  const std::string csv_path = temp_path("sum_t.csv");
+  const std::string sched_path = temp_path("sum_s.csv");
+  const std::string prom_path = temp_path("sum_p.txt");
+  for (StreamConfig config : {sparse, rotating}) {
+    const auto trace = record_trace(config);
+    for (const char* admission : {"overflow", "pause", "codel"}) {
+      for (const int window : {1, 7, 64}) {
+        for (const int threads : {1, 4}) {
+          config.admission = admission;
+          config.obs.metrics = true;
+          config.obs.metrics_window = window;
+          config.threads = threads;
+          const auto outcome = run_stream(trace, config);
+          ASSERT_TRUE(outcome.metrics->write_csv(metrics_path));
+          ASSERT_TRUE(outcome.telemetry.write_csv(csv_path));
+          ASSERT_TRUE(outcome.telemetry.write_schedule_csv(sched_path));
+          ASSERT_TRUE(
+              obs::write_prom_snapshot(*outcome.metrics, nullptr, prom_path));
+          const auto metrics = read_csv(metrics_path);
+          const auto lanes = read_csv(csv_path);
+          const auto sched = read_csv(sched_path);
+
+          const std::map<std::string, long long> expected = {
+              {"pushes", column_sum(lanes, "rounds", "all")},
+              {"drain_pushes", column_sum(lanes, "drain_rounds", "all")},
+              {"pops", column_sum(lanes, "popped", "all")},
+              {"overflows", column_sum(lanes, "overflow", "all")},
+              {"serves", column_sum(sched, "rounds_active", "lane")},
+              {"starves", column_sum(sched, "rounds_inactive", "lane")},
+              {"pauses", column_sum(sched, "pauses", "pool")},
+              {"resumes", column_sum(sched, "resumes", "pool")}};
+          std::map<std::string, long long> prom;
+          std::ifstream in(prom_path);
+          for (std::string line; std::getline(in, line);) {
+            const auto space = line.find(' ');
+            if (line.rfind("qec_stream_", 0) == 0 && space != line.npos) {
+              prom[line.substr(11, space - 11)] =
+                  std::stoll(line.substr(space + 1));
+            }
+          }
+          for (const auto& [name, total] : expected) {
+            const std::string where = config.policy + " " + admission +
+                                      " window=" + std::to_string(window) +
+                                      " threads=" + std::to_string(threads) +
+                                      " " + name;
+            EXPECT_EQ(column_sum(metrics, name), total) << where;
+            EXPECT_EQ(prom[name], total) << where;
+          }
+          if (std::string(admission) != "overflow") {
+            EXPECT_GT(expected.at("pauses"), 0) << admission;
+          }
+        }
+      }
+    }
+  }
+  for (const auto& path : {metrics_path, csv_path, sched_path, prom_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
