@@ -217,7 +217,7 @@ inline constexpr const char* kStreamObsOptions =
     "  --slo=SPEC            SLO burn-rate objectives, e.g.\n"
     "                        'sojourn_p99<8,window=256' (implies windowed\n"
     "                        metrics; verdicts are thread-count invariant)\n"
-    "  --slo-csv=FILE        per-window SLO verdict CSV\n"
+    "  --slo-csv=FILE        per-window SLO verdict CSV (needs --slo)\n"
     "  --prom-snapshot=FILE  Prometheus text-exposition snapshot of the\n"
     "                        final cumulative metrics (implies metrics)\n";
 
@@ -233,7 +233,7 @@ inline constexpr const char* kSweepObsNote =
 class StreamObsExports {
  public:
   /// Parses the flags into `obs`; throws on a malformed number or SLO
-  /// spec, before any trace is recorded.
+  /// spec, or on --slo-csv without --slo, before any trace is recorded.
   StreamObsExports(const CliArgs& args, StreamObsConfig& obs)
       : trace_json_(args.get_or("trace-json", "")),
         metrics_csv_(args.get_or("metrics-csv", "")),
@@ -249,6 +249,12 @@ class StreamObsExports {
     obs.profile = !profile_csv_.empty();
     obs.slo = args.get_or("slo", "");
     if (!obs.slo.empty()) obs::parse_slo_spec(obs.slo);
+    if (!slo_csv_.empty() && obs.slo.empty()) {
+      throw std::invalid_argument(
+          "--slo-csv=" + slo_csv_ +
+          " needs --slo=SPEC: without SLO objectives there are no verdicts "
+          "to write");
+    }
   }
 
   /// The run whose obs objects write() exports.

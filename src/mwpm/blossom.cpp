@@ -4,39 +4,58 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace qec {
 namespace {
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 }
 
-BlossomMatcher::BlossomMatcher(int n) : n_(n) {
+BlossomMatcher::BlossomMatcher(int n) { reset(n); }
+
+void BlossomMatcher::reset(int n) {
   if (n < 0) throw std::invalid_argument("negative vertex count");
+  n_ = n;
   n_total_ = n + n / 2 + 2;
   input_weight_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
                        0);
 }
 
 void BlossomMatcher::set_weight(int u, int v, std::int64_t weight) {
-  assert(u >= 0 && u < n_ && v >= 0 && v < n_ && u != v && weight >= 0);
+  if (u < 0 || u >= n_ || v < 0 || v >= n_ || u == v || weight < 0) {
+    const std::string range = " out of range [0, " + std::to_string(n_) + ")";
+    throw std::invalid_argument(
+        "BlossomMatcher::set_weight: " +
+        (u < 0 || u >= n_   ? "u=" + std::to_string(u) + range
+         : v < 0 || v >= n_ ? "v=" + std::to_string(v) + range
+         : u == v ? "u=" + std::to_string(u) + " == v (self-loop)"
+                  : "weight=" + std::to_string(weight) + " is negative"));
+  }
   input_weight_[static_cast<std::size_t>(u) * n_ + v] = weight;
   input_weight_[static_cast<std::size_t>(v) * n_ + u] = weight;
 }
 
+// Reads the weight at (e.u, e.v), not e.w: a zeroed blossom entry keeps
+// stale endpoints, and the pivot sequence depends on this exact formula.
 std::int64_t BlossomMatcher::edge_delta(const Edge& e) const {
-  return lab_[e.u] + lab_[e.v] - g_[e.u][e.v].w * 2;
+  return lab_[e.u] + lab_[e.v] - g(e.u, e.v).w * 2;
 }
 
-void BlossomMatcher::update_slack(int u, int x) {
-  if (!slack_[x] || edge_delta(g_[u][x]) < edge_delta(g_[slack_[x]][x])) {
+// `delta` is edge_delta(g(u, x)).
+void BlossomMatcher::update_slack(int u, int x, std::int64_t delta) {
+  if (!slack_[x] || delta < slack_d_[x]) {
     slack_[x] = u;
+    slack_d_[x] = delta;
   }
 }
 
 void BlossomMatcher::set_slack(int x) {
   slack_[x] = 0;
   for (int u = 1; u <= n_; ++u) {
-    if (g_[u][x].w > 0 && st_[u] != x && s_[st_[u]] == 0) update_slack(u, x);
+    const Edge& e = g(u, x);
+    if (e.w > 0 && st_[u] != x && s_[st_[u]] == 0) {
+      update_slack(u, x, edge_delta(e));
+    }
   }
 }
 
@@ -68,10 +87,10 @@ int BlossomMatcher::get_pr(int b, int xr) {
 }
 
 void BlossomMatcher::set_match(int u, int v) {
-  match_[u] = g_[u][v].v;
+  match_[u] = g(u, v).v;
   if (u > n_) {
-    const Edge e = g_[u][v];
-    const int xr = flower_from_[u][e.u];
+    const Edge e = g(u, v);
+    const int xr = flower_from(u, e.u);
     const int pr = get_pr(u, xr);
     for (int i = 0; i < pr; ++i) {
       set_match(flower_[u][i], flower_[u][i ^ 1]);
@@ -125,30 +144,30 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
     queue_push(y);
   }
   set_st(b, b);
-  for (int x = 1; x <= n_x_; ++x) g_[b][x].w = g_[x][b].w = 0;
-  for (int x = 1; x <= n_; ++x) flower_from_[b][x] = 0;
+  for (int x = 1; x <= n_x_; ++x) g(b, x).w = g(x, b).w = 0;
+  for (int x = 1; x <= n_; ++x) flower_from(b, x) = 0;
   for (int xs : flower_[b]) {
     for (int x = 1; x <= n_x_; ++x) {
-      if (g_[b][x].w == 0 || edge_delta(g_[xs][x]) < edge_delta(g_[b][x])) {
-        g_[b][x] = g_[xs][x];
-        g_[x][b] = g_[x][xs];
+      if (g(b, x).w == 0 || edge_delta(g(xs, x)) < edge_delta(g(b, x))) {
+        g(b, x) = g(xs, x);
+        g(x, b) = g(x, xs);
       }
     }
     for (int x = 1; x <= n_; ++x) {
-      if (flower_from_[xs][x]) flower_from_[b][x] = xs;
+      if (flower_from(xs, x)) flower_from(b, x) = xs;
     }
   }
-  set_slack(b);
+  set_slack(b);  // column b changed: re-derives slack_[b] and slack_d_[b]
 }
 
 void BlossomMatcher::expand_blossom(int b) {
   for (int sub : flower_[b]) set_st(sub, sub);
-  const int xr = flower_from_[b][g_[b][pa_[b]].u];
+  const int xr = flower_from(b, g(b, pa_[b]).u);
   const int pr = get_pr(b, xr);
   for (int i = 0; i < pr; i += 2) {
     const int xs = flower_[b][i];
     const int xns = flower_[b][i + 1];
-    pa_[xs] = g_[xns][xs].u;
+    pa_[xs] = g(xns, xs).u;
     s_[xs] = 1;
     s_[xns] = 0;
     slack_[xs] = 0;
@@ -204,13 +223,26 @@ bool BlossomMatcher::matching_phase() {
   while (true) {
     while (queue_head_ < queue_.size()) {
       const int u = queue_[queue_head_++];
-      if (s_[st_[u]] == 1) continue;
+      int st_u = st_[u];
+      if (s_[st_u] == 1) continue;
+      // Real-real entries are never rewritten, so g(u, v) == {u, v, w}.
+      const Edge* row = &g(u, 0);
+      const std::int64_t lab_u = lab_[u];
       for (int v = 1; v <= n_; ++v) {
-        if (g_[u][v].w > 0 && st_[u] != st_[v]) {
-          if (edge_delta(g_[u][v]) == 0) {
-            if (on_found_edge(g_[u][v])) return true;
+        const int x = st_[v];
+        if (row[v].w > 0 && st_u != x) {
+          const std::int64_t delta = lab_u + lab_[v] - row[v].w * 2;
+          if (delta == 0) {
+            if (on_found_edge(row[v])) return true;
+            st_u = st_[u];  // a new blossom may have absorbed u
           } else {
-            update_slack(u, st_[v]);
+            // g(u, x) of a blossom x is a copied real edge {u, v', w > 0},
+            // so its edge_delta needs no second lookup of the weight.
+            assert(x == v || (row[x].u == u && row[x].w > 0 &&
+                              g(u, row[x].v).w == row[x].w));
+            const std::int64_t dx =
+                x == v ? delta : lab_u + lab_[row[x].v] - row[x].w * 2;
+            update_slack(u, x, dx);
           }
         }
       }
@@ -222,9 +254,9 @@ bool BlossomMatcher::matching_phase() {
     for (int x = 1; x <= n_x_; ++x) {
       if (st_[x] == x && slack_[x]) {
         if (s_[x] == -1) {
-          d = std::min(d, edge_delta(g_[slack_[x]][x]));
+          d = std::min(d, slack_d_[x]);
         } else if (s_[x] == 0) {
-          d = std::min(d, edge_delta(g_[slack_[x]][x]) / 2);
+          d = std::min(d, slack_d_[x] / 2);
         }
       }
     }
@@ -245,12 +277,16 @@ bool BlossomMatcher::matching_phase() {
         }
       }
     }
+    // The labels moved, so every cached slack delta did too.
+    for (int x = 1; x <= n_x_; ++x) {
+      if (slack_[x]) slack_d_[x] = edge_delta(g(slack_[x], x));
+    }
     queue_.clear();
     queue_head_ = 0;
     for (int x = 1; x <= n_x_; ++x) {
       if (st_[x] == x && slack_[x] && st_[slack_[x]] != x &&
-          edge_delta(g_[slack_[x]][x]) == 0) {
-        if (on_found_edge(g_[slack_[x]][x])) return true;
+          slack_d_[x] == 0) {
+        if (on_found_edge(g(slack_[x], x))) return true;
       }
     }
     for (int b = n_ + 1; b <= n_x_; ++b) {
@@ -259,9 +295,10 @@ bool BlossomMatcher::matching_phase() {
   }
 }
 
-std::vector<int> BlossomMatcher::solve() {
+const std::vector<int>& BlossomMatcher::solve() {
   matching_weight_ = 0;
-  if (n_ == 0) return {};
+  mate_.assign(static_cast<std::size_t>(n_), -1);
+  if (n_ == 0) return mate_;
   if (n_ % 2 != 0) {
     throw std::invalid_argument("perfect matching needs an even vertex count");
   }
@@ -273,53 +310,53 @@ std::vector<int> BlossomMatcher::solve() {
   for (std::int64_t w : input_weight_) w_max = std::max(w_max, w);
   const std::int64_t offset = w_max + 1;
 
-  g_.assign(static_cast<std::size_t>(n_total_),
-            std::vector<Edge>(static_cast<std::size_t>(n_total_)));
-  for (int u = 1; u <= n_; ++u) {
-    for (int v = 1; v <= n_; ++v) {
-      std::int64_t w = 0;
-      if (u != v) {
-        w = offset -
-            input_weight_[static_cast<std::size_t>(u - 1) * n_ + (v - 1)];
-      }
-      g_[u][v] = Edge{u, v, w};
-    }
-  }
-  for (int u = n_ + 1; u < n_total_; ++u) {
+  // Every entry is rewritten, so a reused workspace carries nothing over.
+  // Entries touching a blossom id hold {u, v, 0}; row and column 0 (no
+  // vertex) hold {0, 0, 0}.
+  const auto size = static_cast<std::size_t>(n_total_);
+  if (g_.size() < size * size) g_.resize(size * size);
+  for (int u = 0; u < n_total_; ++u) {
+    Edge* row = &g(u, 0);
     for (int v = 0; v < n_total_; ++v) {
-      g_[u][v] = Edge{u, v, 0};
-      g_[v][u] = Edge{v, u, 0};
+      if (u > n_ || v > n_) {
+        row[v] = Edge{u, v, 0};
+      } else if (u == 0 || v == 0) {
+        row[v] = Edge{};
+      } else {
+        const std::int64_t w =
+            u == v ? 0
+                   : offset - input_weight_[static_cast<std::size_t>(u - 1) *
+                                                n_ +
+                                            (v - 1)];
+        row[v] = Edge{u, v, w};
+      }
     }
   }
 
-  lab_.assign(static_cast<std::size_t>(n_total_), 0);
-  match_.assign(static_cast<std::size_t>(n_total_), 0);
-  slack_.assign(static_cast<std::size_t>(n_total_), 0);
-  st_.assign(static_cast<std::size_t>(n_total_), 0);
-  pa_.assign(static_cast<std::size_t>(n_total_), 0);
-  s_.assign(static_cast<std::size_t>(n_total_), -1);
-  vis_.assign(static_cast<std::size_t>(n_total_), 0);
-  flower_.assign(static_cast<std::size_t>(n_total_), {});
-  flower_from_.assign(static_cast<std::size_t>(n_total_),
-                      std::vector<int>(static_cast<std::size_t>(n_ + 1), 0));
+  lab_.assign(size, 0);
+  slack_d_.assign(size, 0);
+  match_.assign(size, 0);
+  slack_.assign(size, 0);
+  st_.assign(size, 0);
+  pa_.assign(size, 0);
+  s_.assign(size, -1);
+  vis_.assign(size, 0);
+  if (flower_.size() < size) flower_.resize(size);
+  for (std::size_t b = 0; b < size; ++b) flower_[b].clear();
+  flower_from_.assign(size * static_cast<std::size_t>(n_ + 1), 0);
   lca_timer_ = 0;
 
   n_x_ = n_;
   for (int u = 0; u <= n_; ++u) st_[u] = u;
-  for (int u = 1; u <= n_; ++u) {
-    for (int v = 1; v <= n_; ++v) {
-      flower_from_[u][v] = (u == v) ? u : 0;
-    }
-  }
+  for (int u = 1; u <= n_; ++u) flower_from(u, u) = u;
   for (int u = 1; u <= n_; ++u) lab_[u] = offset;  // max transformed weight
 
   while (matching_phase()) {
   }
 
-  std::vector<int> mate(static_cast<std::size_t>(n_), -1);
   for (int u = 1; u <= n_; ++u) {
     if (match_[u]) {
-      mate[u - 1] = match_[u] - 1;
+      mate_[u - 1] = match_[u] - 1;
       if (match_[u] < u) {
         matching_weight_ +=
             input_weight_[static_cast<std::size_t>(u - 1) * n_ +
@@ -327,7 +364,7 @@ std::vector<int> BlossomMatcher::solve() {
       }
     }
   }
-  return mate;
+  return mate_;
 }
 
 }  // namespace qec

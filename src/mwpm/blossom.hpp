@@ -10,6 +10,10 @@
 // The matcher works on a COMPLETE graph: every pair of distinct vertices
 // must carry a weight. The space-time matching graph of mwpm/matching_graph
 // arranges this with a large sentinel weight on forbidden pairs.
+//
+// The pivot sequence is part of the contract: among several minimum-weight
+// matchings solve() always returns the same one, and the decoder outputs
+// are pinned to it (DESIGN.md, "Exact MWPM matcher").
 #pragma once
 
 #include <cstdint>
@@ -21,15 +25,23 @@ class BlossomMatcher {
  public:
   /// n vertices, 0-indexed externally. For a perfect matching to exist on a
   /// complete graph n must be even.
-  explicit BlossomMatcher(int n);
+  explicit BlossomMatcher(int n = 0);
 
-  /// Sets the (symmetric) weight of edge {u, v}; u != v, weight >= 0.
+  /// Re-sizes the matcher to n vertices with every weight 0. The workspace
+  /// keeps its capacity, so a matcher reused across instances allocates
+  /// only when n exceeds every earlier size.
+  void reset(int n);
+
+  /// Sets the (symmetric) weight of edge {u, v}. Throws
+  /// std::invalid_argument unless u != v are both in [0, n) and
+  /// weight >= 0.
   void set_weight(int u, int v, std::int64_t weight);
 
   /// Solves minimum-weight perfect matching. Returns mate[v] for every
-  /// vertex (0-indexed). Requires every pair to have been given a weight
-  /// (or relies on the default, which is 0).
-  std::vector<int> solve();
+  /// vertex (0-indexed), valid until the next solve() or reset(). Requires
+  /// every pair to have been given a weight (or relies on the default,
+  /// which is 0).
+  const std::vector<int>& solve();
 
   /// Total weight of the matching found by the last solve().
   std::int64_t matching_weight() const { return matching_weight_; }
@@ -41,8 +53,18 @@ class BlossomMatcher {
     std::int64_t w = 0;
   };
 
+  Edge& g(int u, int v) {
+    return g_[static_cast<std::size_t>(u) * n_total_ + v];
+  }
+  const Edge& g(int u, int v) const {
+    return g_[static_cast<std::size_t>(u) * n_total_ + v];
+  }
+  int& flower_from(int b, int x) {
+    return flower_from_[static_cast<std::size_t>(b) * (n_ + 1) + x];
+  }
+
   std::int64_t edge_delta(const Edge& e) const;
-  void update_slack(int u, int x);
+  void update_slack(int u, int x, std::int64_t delta);
   void set_slack(int x);
   void queue_push(int x);
   void set_st(int x, int b);
@@ -58,14 +80,17 @@ class BlossomMatcher {
   int n_ = 0;        // real vertices (1-indexed internally)
   int n_total_ = 0;  // capacity incl. blossom ids
   int n_x_ = 0;      // current highest node id in use
-  std::vector<std::vector<Edge>> g_;
+  std::vector<Edge> g_;  // n_total_ x n_total_, row-major
   std::vector<std::int64_t> lab_;
+  // slack_d_[x] == edge_delta(g(slack_[x], x)) whenever slack_[x] != 0.
+  std::vector<std::int64_t> slack_d_;
   std::vector<int> match_, slack_, st_, pa_, s_, vis_;
   std::vector<std::vector<int>> flower_;
-  std::vector<std::vector<int>> flower_from_;
+  std::vector<int> flower_from_;  // n_total_ x (n_ + 1), row-major
   std::vector<int> queue_;
   std::size_t queue_head_ = 0;
   std::vector<std::int64_t> input_weight_;  // row-major, minimisation weights
+  std::vector<int> mate_;
   std::int64_t matching_weight_ = 0;
   int lca_timer_ = 0;
 };

@@ -27,13 +27,13 @@ int defect_distance(const Defect& a, const Defect& b) {
 BitVec pairs_to_correction(const PlanarLattice& lattice,
                            const std::vector<MatchedPair>& pairs) {
   BitVec correction(static_cast<std::size_t>(lattice.num_data()), 0);
+  std::vector<int> path;  // reused for every pair
   for (const auto& pair : pairs) {
-    std::vector<int> path;
     if (pair.to_boundary) {
-      path = lattice.boundary_path({pair.a.row, pair.a.col});
+      lattice.boundary_path_into({pair.a.row, pair.a.col}, path);
     } else {
-      path = lattice.l_path({pair.a.row, pair.a.col},
-                            {pair.b.row, pair.b.col});
+      lattice.l_path_into({pair.a.row, pair.a.col}, {pair.b.row, pair.b.col},
+                          path);
     }
     for (int q : path) correction[static_cast<std::size_t>(q)] ^= 1;
   }

@@ -12,10 +12,17 @@ constexpr std::int64_t kForbidden = 1 << 20;
 
 std::vector<MatchedPair> MwpmDecoder::match_defects(
     const PlanarLattice& lattice, const std::vector<Defect>& defects) {
+  BlossomMatcher matcher;
+  return match_defects(lattice, defects, matcher);
+}
+
+std::vector<MatchedPair> MwpmDecoder::match_defects(
+    const PlanarLattice& lattice, const std::vector<Defect>& defects,
+    BlossomMatcher& matcher) {
   const int nd = static_cast<int>(defects.size());
   if (nd == 0) return {};
   // Vertices: [0, nd) defects, [nd, 2*nd) their private boundary nodes.
-  BlossomMatcher matcher(2 * nd);
+  matcher.reset(2 * nd);
   for (int i = 0; i < nd; ++i) {
     for (int j = i + 1; j < nd; ++j) {
       matcher.set_weight(i, j, defect_distance(defects[static_cast<std::size_t>(i)],
@@ -28,7 +35,7 @@ std::vector<MatchedPair> MwpmDecoder::match_defects(
       if (j != i) matcher.set_weight(i, nd + j, kForbidden);
     }
   }
-  const std::vector<int> mate = matcher.solve();
+  const std::vector<int>& mate = matcher.solve();
 
   std::vector<MatchedPair> pairs;
   for (int i = 0; i < nd; ++i) {
@@ -47,7 +54,8 @@ DecodeResult MwpmDecoder::decode(const PlanarLattice& lattice,
                                  const SyndromeHistory& history) {
   const std::vector<Defect> defects =
       collect_defects(lattice, history.difference);
-  const std::vector<MatchedPair> pairs = match_defects(lattice, defects);
+  const std::vector<MatchedPair> pairs =
+      match_defects(lattice, defects, matcher_);
   DecodeResult result;
   result.correction = pairs_to_correction(lattice, pairs);
   result.work = defects.size();

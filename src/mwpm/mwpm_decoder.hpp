@@ -3,6 +3,7 @@
 #pragma once
 
 #include "decoder/decoder.hpp"
+#include "mwpm/blossom.hpp"
 #include "mwpm/matching_graph.hpp"
 
 namespace qec {
@@ -14,10 +15,17 @@ class MwpmDecoder final : public Decoder {
   DecodeResult decode(const PlanarLattice& lattice,
                       const SyndromeHistory& history) override;
 
-  /// Exposed for tests: matches an arbitrary defect list on a lattice and
-  /// returns the matched pairs chosen by exact MWPM.
+  /// Matches an arbitrary defect list on a lattice and returns the matched
+  /// pairs chosen by exact MWPM, solving in `matcher` (a reused workspace).
+  static std::vector<MatchedPair> match_defects(
+      const PlanarLattice& lattice, const std::vector<Defect>& defects,
+      BlossomMatcher& matcher);
+  /// As above with a one-off workspace; exposed for tests.
   static std::vector<MatchedPair> match_defects(
       const PlanarLattice& lattice, const std::vector<Defect>& defects);
+
+ private:
+  BlossomMatcher matcher_;
 };
 
 }  // namespace qec

@@ -23,7 +23,7 @@ DecodeResult WindowedMwpmDecoder::decode(const PlanarLattice& lattice,
   const int total = history.total_rounds();
   auto run_window = [&](int newest_layer, bool final_flush) {
     ++last_windows_;
-    const auto pairs = MwpmDecoder::match_defects(lattice, pending);
+    const auto pairs = MwpmDecoder::match_defects(lattice, pending, matcher_);
     const int commit_before = newest_layer - config_.guard;
     std::vector<std::uint8_t> consumed(pending.size(), 0);
     for (const auto& pair : pairs) {

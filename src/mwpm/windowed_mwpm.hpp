@@ -16,6 +16,7 @@
 #pragma once
 
 #include "decoder/decoder.hpp"
+#include "mwpm/blossom.hpp"
 #include "mwpm/matching_graph.hpp"
 
 namespace qec {
@@ -42,6 +43,7 @@ class WindowedMwpmDecoder final : public Decoder {
  private:
   WindowConfig config_;
   int last_windows_ = 0;
+  BlossomMatcher matcher_;
 };
 
 }  // namespace qec

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -34,6 +35,40 @@ TEST(BlossomEdge, ZeroVerticesIsEmpty) {
 
 TEST(BlossomEdge, NegativeCountThrows) {
   EXPECT_THROW(BlossomMatcher(-1), std::invalid_argument);
+  BlossomMatcher matcher(2);
+  EXPECT_THROW(matcher.reset(-2), std::invalid_argument);
+}
+
+TEST(BlossomEdge, SetWeightRejectsBadArgumentsByName) {
+  // Checked in every build type: an assert vanishes under NDEBUG and
+  // would let these calls write out of bounds.
+  BlossomMatcher matcher(4);
+  struct Case {
+    int u, v;
+    std::int64_t weight;
+    const char* message;
+  };
+  for (const Case& c : {Case{2, 2, 1, "u=2 == v (self-loop)"},
+                        Case{-1, 2, 1, "u=-1 out of range [0, 4)"},
+                        Case{4, 2, 1, "u=4 out of range [0, 4)"},
+                        Case{1, 7, 1, "v=7 out of range [0, 4)"},
+                        Case{0, 3, -5, "weight=-5 is negative"}}) {
+    try {
+      matcher.set_weight(c.u, c.v, c.weight);
+      ADD_FAILURE() << "no throw for " << c.message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
+  // Nothing was written: the valid weights still solve as set.
+  matcher.set_weight(0, 1, 3);
+  matcher.set_weight(2, 3, 4);
+  for (const auto& [u, v] : {std::pair{0, 2}, {0, 3}, {1, 2}, {1, 3}}) {
+    matcher.set_weight(u, v, 100);
+  }
+  matcher.solve();
+  EXPECT_EQ(matcher.matching_weight(), 7);
 }
 
 TEST(EngineFuzz, RandomPushesAndBudgetsNeverBreakInvariants) {
@@ -236,6 +271,26 @@ TEST(UnwritableOutputs, SweepCsvsFailBeforeTheSweepRuns) {
         << command << "\n" << output;
     EXPECT_EQ(output.find(never), std::string::npos)
         << command << "\n" << output;
+  }
+}
+
+TEST(ObsFlags, SloCsvWithoutSloFailsBeforeTheRun) {
+  // Without --slo there are no verdicts, so the run used to finish and
+  // then fail with a misleading "cannot write".
+  const std::string path = ::testing::TempDir() + "robustness_slo.csv";
+  for (const char* binary : {QEC_STREAM_SOAK, QEC_LANE_SCALING,
+                             QEC_POOL_SCALING}) {
+    std::remove(path.c_str());
+    const std::string command = std::string(binary) +
+                                " --lanes=2 --rounds=4 --slo-csv=" + path;
+    const auto [status, output] = run_command(command);
+    EXPECT_EQ(status, 1) << command << "\n" << output;
+    EXPECT_NE(output.find("--slo-csv=" + path + " needs --slo"),
+              std::string::npos)
+        << command << "\n" << output;
+    EXPECT_EQ(output.find("cannot write"), std::string::npos)
+        << command << "\n" << output;
+    EXPECT_FALSE(std::ifstream(path).good()) << command << " created " << path;
   }
 }
 
