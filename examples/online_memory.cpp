@@ -49,7 +49,7 @@ int main(int argc, char** argv) try {
   for (int t = 0; t < history.total_rounds(); ++t) {
     const auto& layer = history.difference[static_cast<std::size_t>(t)];
     const int defects = qec::weight(layer);
-    if (!engine.push_layer(layer)) {
+    if (!engine.push_layer(qec::PackedBits::from_bits(layer))) {
       std::printf("round %2d: REG OVERFLOW - trial failed\n", t);
       return 1;
     }
@@ -71,7 +71,7 @@ int main(int argc, char** argv) try {
   }
 
   // Keep the QEC cycle running on clean layers until the queues drain.
-  const qec::BitVec clean(static_cast<std::size_t>(lattice.num_checks()), 0);
+  const qec::PackedBits clean(static_cast<std::size_t>(lattice.num_checks()));
   int extra = 0;
   while (!(engine.all_clear() && engine.stored_layers() == 0) && extra < 64) {
     engine.push_layer(clean);

@@ -39,8 +39,9 @@ DecodeResult MaximumLikelihoodDecoder::decode(const PlanarLattice& lattice,
   for (int r = 0; r < lattice.distance(); ++r) {
     logical_mask[static_cast<std::size_t>(lattice.horizontal_qubit(r, 0))] = 1;
   }
+  // Every later layer is zero, so the first one is the final syndrome.
   std::uint32_t target = 0;
-  const BitVec& syndrome = history.measured.back();
+  const BitVec& syndrome = history.difference.front();
   for (int chk = 0; chk < num_checks; ++chk) {
     if (syndrome[static_cast<std::size_t>(chk)]) {
       target |= std::uint32_t{1} << static_cast<unsigned>(chk);

@@ -65,8 +65,6 @@ struct CorpusEntry {
 std::string save_trace(const SyndromeTrace& trace, const std::string& dir,
                        const std::string& name) {
   if (dir.empty()) return {};
-  std::error_code ec;
-  fs::create_directories(dir, ec);
   const std::string path = (fs::path(dir) / name).string();
   trace.save(path);
   return path;
@@ -74,11 +72,20 @@ std::string save_trace(const SyndromeTrace& trace, const std::string& dir,
 
 }  // namespace
 
+void create_output_dir(const std::string& dir) {
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) {
+    throw std::runtime_error("cannot create " + dir + ": " + ec.message());
+  }
+}
+
 FuzzStats run_fuzzer(const FuzzConfig& config) {
   if (config.max_iterations <= 0 && config.time_budget_s <= 0.0) {
     throw std::invalid_argument(
         "run_fuzzer: set max_iterations and/or time_budget_s");
   }
+  if (!config.out_dir.empty()) create_output_dir(config.out_dir);
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed = [&] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

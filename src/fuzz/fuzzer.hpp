@@ -93,9 +93,14 @@ struct FuzzStats {
   bool found_failure() const { return !failures.empty(); }
 };
 
+/// Creates `dir` and its parents unless they exist. Throws
+/// std::runtime_error("cannot create DIR: reason") when it cannot.
+void create_output_dir(const std::string& dir);
+
 /// Runs the fuzz loop to its iteration/time bound. Throws TraceError on an
-/// unreadable corpus_dir entry and std::invalid_argument on a bound-less
-/// config.
+/// unreadable corpus_dir entry, std::invalid_argument on a bound-less
+/// config, and (before the first iteration) create_output_dir's error
+/// when out_dir cannot be created.
 FuzzStats run_fuzzer(const FuzzConfig& config);
 
 /// Per-entry verdict of a corpus replay.

@@ -9,11 +9,12 @@
 //               is a perfect no-op (the admission-control contract of
 //               section 9), and every checkpoint snapshot must agree with
 //               the engine's own counters.
-//   unpacked    the byte-per-bit push path equals the packed hot path —
-//               the PR 6 datapath-equivalence contract.
-//   bitops      the configured popcount/ctz backend agrees with the
-//               portable SWAR reference on every trace word (plus edge
-//               words) — the backend-equivalence contract of section 11.
+//   unpacked    pushing each layer as bytes through the stepper's
+//               byte-per-bit adapter (which packs it into a scratch
+//               layer) equals pushing the packed layer directly.
+//   bitops      std::popcount/std::countr_zero agree with a portable
+//               SWAR reference kept in this harness, on every trace word
+//               (plus edge words).
 //   invariant   EngineProbe structural checks on every push/pop/run: Reg
 //               occupancy <= reg_depth, rejects only when full, no pop
 //               without a prior push, consumed <= budget, the cycle

@@ -37,10 +37,11 @@ SyndromeHistory sample_circuit_history(const PlanarLattice& lattice,
 
   SyndromeHistory history;
   history.final_error.assign(static_cast<std::size_t>(lattice.num_data()), 0);
-  history.measured.reserve(static_cast<std::size_t>(params.rounds) + 1);
+  history.difference.reserve(static_cast<std::size_t>(params.rounds) + 1);
 
-  std::vector<std::uint8_t> ancilla(static_cast<std::size_t>(lattice.num_checks()),
-                                    0);
+  const auto checks = static_cast<std::size_t>(lattice.num_checks());
+  std::vector<std::uint8_t> ancilla(checks, 0);
+  BitVec measured(checks, 0);  // the previous round's measured syndrome
   std::vector<std::uint8_t> busy(static_cast<std::size_t>(lattice.num_data()),
                                  0);
 
@@ -91,17 +92,18 @@ SyndromeHistory sample_circuit_history(const PlanarLattice& lattice,
     // faults striking after their CNOT are legitimately invisible until the
     // next round (the space-time structure of circuit noise). The readout
     // itself may additionally lie.
-    BitVec meas(static_cast<std::size_t>(lattice.num_checks()), 0);
-    for (int chk = 0; chk < lattice.num_checks(); ++chk) {
-      meas[static_cast<std::size_t>(chk)] = static_cast<std::uint8_t>(
-          ancilla[static_cast<std::size_t>(chk)] ^
-          static_cast<std::uint8_t>(rng.bernoulli(p)));
+    BitVec difference(checks, 0);
+    for (std::size_t chk = 0; chk < checks; ++chk) {
+      const auto meas = static_cast<std::uint8_t>(
+          ancilla[chk] ^ static_cast<std::uint8_t>(rng.bernoulli(p)));
+      difference[chk] = static_cast<std::uint8_t>(meas ^ measured[chk]);
+      measured[chk] = meas;
     }
-    history.measured.push_back(std::move(meas));
+    history.difference.push_back(std::move(difference));
   }
   // Final perfect round.
-  history.measured.push_back(lattice.syndrome(history.final_error));
-  history.difference = difference_syndromes(history.measured);
+  history.difference.push_back(
+      xor_of(lattice.syndrome(history.final_error), measured));
   return history;
 }
 

@@ -1,6 +1,7 @@
 #include "noise/depolarizing.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace qec {
 
@@ -9,12 +10,23 @@ TwoSectorHistory sample_depolarizing_history(const PlanarLattice& lattice,
                                              Xoshiro256ss& rng) {
   if (params.rounds < 1) throw std::invalid_argument("rounds must be >= 1");
   TwoSectorHistory history;
-  auto init_sector = [&](SyndromeHistory& sector) {
-    sector.final_error.assign(static_cast<std::size_t>(lattice.num_data()), 0);
-    sector.measured.reserve(static_cast<std::size_t>(params.rounds) + 1);
+  // Per sector, the previous round's measured syndrome: each round emits
+  // its measured layer XOR that one.
+  struct Sector {
+    SyndromeHistory& history;
+    BitVec measured;
+    void push_round(BitVec meas) {
+      history.difference.push_back(xor_of(meas, measured));
+      measured = std::move(meas);
+    }
   };
-  init_sector(history.x);
-  init_sector(history.z);
+  const auto checks = static_cast<std::size_t>(lattice.num_checks());
+  Sector sectors[] = {{history.x, BitVec(checks, 0)},
+                      {history.z, BitVec(checks, 0)}};
+  for (Sector& s : sectors) {
+    s.history.final_error.assign(static_cast<std::size_t>(lattice.num_data()),
+                                 0);
+  }
 
   for (int t = 0; t < params.rounds; ++t) {
     for (int q = 0; q < lattice.num_data(); ++q) {
@@ -34,17 +46,16 @@ TwoSectorHistory sample_depolarizing_history(const PlanarLattice& lattice,
           break;
       }
     }
-    for (SyndromeHistory* sector : {&history.x, &history.z}) {
-      BitVec meas = lattice.syndrome(sector->final_error);
+    for (Sector& s : sectors) {
+      BitVec meas = lattice.syndrome(s.history.final_error);
       for (auto& bit : meas) {
         bit ^= static_cast<std::uint8_t>(rng.bernoulli(params.p_meas));
       }
-      sector->measured.push_back(std::move(meas));
+      s.push_round(std::move(meas));
     }
   }
-  for (SyndromeHistory* sector : {&history.x, &history.z}) {
-    sector->measured.push_back(lattice.syndrome(sector->final_error));
-    sector->difference = difference_syndromes(sector->measured);
+  for (Sector& s : sectors) {
+    s.push_round(lattice.syndrome(s.history.final_error));
   }
   return history;
 }

@@ -73,12 +73,10 @@ SyndromeHistory sample_history(const PlanarLattice& lattice,
   PhenomenologicalSampler sampler(lattice, params);
   SyndromeHistory history;
   const auto stored = static_cast<std::size_t>(sampler.stored_rounds());
-  history.measured.reserve(stored);
   history.difference.reserve(stored);
   PackedBits difference(static_cast<std::size_t>(lattice.num_checks()));
   for (std::size_t t = 0; t < stored; ++t) {
     sampler.next_round(rng, difference);
-    history.measured.push_back(sampler.measured().to_bits());
     history.difference.push_back(difference.to_bits());
   }
   history.final_error = sampler.take_error();
@@ -89,27 +87,9 @@ std::vector<BitVec> difference_syndromes(const std::vector<BitVec>& measured) {
   std::vector<BitVec> diff;
   diff.reserve(measured.size());
   for (std::size_t t = 0; t < measured.size(); ++t) {
-    if (t == 0) {
-      diff.push_back(measured[0]);
-    } else {
-      diff.push_back(xor_of(measured[t], measured[t - 1]));
-    }
+    diff.push_back(t == 0 ? measured[0] : xor_of(measured[t], measured[t - 1]));
   }
   return diff;
-}
-
-std::vector<BitVec> accumulate_differences(
-    const std::vector<BitVec>& difference) {
-  std::vector<BitVec> measured;
-  measured.reserve(difference.size());
-  for (std::size_t t = 0; t < difference.size(); ++t) {
-    if (t == 0) {
-      measured.push_back(difference[0]);
-    } else {
-      measured.push_back(xor_of(difference[t], measured[t - 1]));
-    }
-  }
-  return measured;
 }
 
 int defect_count(const SyndromeHistory& history) {

@@ -5,8 +5,8 @@
 // paper sets p_data = p_meas = p.
 //
 // A SyndromeHistory carries both what the decoder is allowed to see (the
-// measured syndromes) and the ground truth needed to score the trial (the
-// accumulated physical error).
+// difference syndromes, i.e. the detection events) and the ground truth
+// needed to score the trial (the accumulated physical error).
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,14 @@ struct NoiseParams {
 
 struct SyndromeHistory {
   /// Total stored rounds = params.rounds + 1 (the final perfect round).
-  int total_rounds() const { return static_cast<int>(measured.size()); }
+  int total_rounds() const { return static_cast<int>(difference.size()); }
 
-  /// measured[t][check]: the syndrome value reported by the hardware in
-  /// round t (cumulative parity of the error so far, XOR measurement noise).
-  std::vector<BitVec> measured;
-
-  /// difference[t][check] = measured[t] XOR measured[t-1] (measured[-1]=0):
-  /// the defect indicator each decoder actually matches on, and the value
-  /// QECOOL Units push into their Reg queues.
+  /// difference[t][check] = measured[t] XOR measured[t-1] (measured[-1]=0),
+  /// where measured[t] is the syndrome the hardware reported in round t:
+  /// the defect indicator each decoder matches on, and the value QECOOL
+  /// Units push into their Reg queues. The running XOR of the layers is
+  /// the measured sequence; after the final perfect round it equals the
+  /// syndrome of final_error.
   std::vector<BitVec> difference;
 
   /// Ground truth: accumulated data error after the last round.
@@ -54,8 +53,9 @@ struct SyndromeHistory {
 /// bernoulli(p_meas) per check in index order; the final perfect round
 /// draws nothing. The probabilities are hoisted into integer thresholds
 /// (Xoshiro256ss::bernoulli_threshold), the syndrome is kept as a running
-/// packed XOR of each flipped qubit's checks, and a measured layer is that
-/// syndrome XOR the packed measurement flips.
+/// packed XOR of each flipped qubit's checks, a measured layer is that
+/// syndrome XOR the packed measurement flips, and the emitted difference
+/// layer is that measured layer XOR the previous one.
 class PhenomenologicalSampler {
  public:
   /// Throws std::invalid_argument when params.rounds < 1.
@@ -68,9 +68,6 @@ class PhenomenologicalSampler {
   /// Samples the next stored round and overwrites `difference` (sized
   /// num_checks) with its difference layer. Call stored_rounds() times.
   void next_round(Xoshiro256ss& rng, PackedBits& difference);
-
-  /// Measured syndrome of the round last sampled.
-  const PackedBits& measured() const { return measured_; }
 
   /// Accumulated data error so far; after the last round, the ground truth.
   BitVec take_error() { return std::move(error_); }
@@ -85,23 +82,16 @@ class PhenomenologicalSampler {
   bool meas_draws_;
   BitVec error_;
   PackedBits syndrome_;  ///< syndrome of error_
-  PackedBits measured_;
+  PackedBits measured_;  ///< measured syndrome of the round last sampled
 };
 
 /// Samples one memory-experiment history (byte-per-bit, via the kernel).
 SyndromeHistory sample_history(const PlanarLattice& lattice,
                                const NoiseParams& params, Xoshiro256ss& rng);
 
-/// Computes difference syndromes from a measured-syndrome sequence (exposed
-/// for tests and for decoders fed with externally generated data).
+/// Computes difference syndromes from a measured-syndrome sequence: the
+/// one way to build a history from externally measured data (and tests).
 std::vector<BitVec> difference_syndromes(const std::vector<BitVec>& measured);
-
-/// Inverse of difference_syndromes: rebuilds the measured-syndrome sequence
-/// as the running XOR of the difference layers. Syndrome traces (see
-/// src/stream/trace.hpp) persist only differences — this is how a replayed
-/// lane recovers a full SyndromeHistory for scoring.
-std::vector<BitVec> accumulate_differences(
-    const std::vector<BitVec>& difference);
 
 /// Total number of defects (set difference-syndrome bits) in a history.
 int defect_count(const SyndromeHistory& history);

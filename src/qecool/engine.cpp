@@ -1,6 +1,7 @@
 #include "qecool/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -75,18 +76,6 @@ bool QecoolEngine::push_layer(const PackedBits& difference_layer) {
   return true;
 }
 
-bool QecoolEngine::push_layer(const BitVec& difference_layer) {
-  assert(static_cast<int>(difference_layer.size()) == rows_ * cols_);
-  if (m_ == reg_capacity_) {  // buffer overflow
-    if (probe_) probe_->on_push(false, m_, reg_capacity_);
-    return false;
-  }
-  reg_[static_cast<std::size_t>(m_)].assign_bits(difference_layer);
-  ++m_;
-  if (probe_) probe_->on_push(true, m_, reg_capacity_);
-  return true;
-}
-
 bool QecoolEngine::all_clear() const {
   for (int t = 0; t < m_; ++t) {
     if (reg_[static_cast<std::size_t>(t)].any()) return false;
@@ -127,7 +116,7 @@ int QecoolEngine::next_occupied_row(int from) const {
     drop_mask = ~std::uint64_t{0};
     if (combined != 0) {
       const std::size_t first = w * 64 + static_cast<std::size_t>(
-                                             qec_countr_zero64(combined));
+                                             std::countr_zero(combined));
       return static_cast<int>(first / static_cast<std::size_t>(cols_));
     }
   }
@@ -185,7 +174,7 @@ std::optional<QecoolEngine::Candidate> QecoolEngine::best_candidate(
       occupancy_.xor_word(w, fresh);  // fresh is disjoint from occupancy_
       while (fresh) {
         const std::size_t u =
-            (w << 6) + static_cast<std::size_t>(qec_countr_zero64(fresh));
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(fresh));
         fresh &= fresh - 1;
         if (static_cast<int>(u) == sink) continue;
         const int r = row_of_[u];
@@ -448,7 +437,7 @@ std::uint64_t QecoolEngine::run_scan(std::uint64_t budget) {
           while (word == 0 && (++w) * 64 < row_end) word = layer.word(w);
           if (word == 0) break;
           const std::size_t u =
-              w * 64 + static_cast<std::size_t>(qec_countr_zero64(word));
+              w * 64 + static_cast<std::size_t>(std::countr_zero(word));
           if (u >= row_end) break;
           charge(process_unit(row_, static_cast<int>(u - row_first)));
           from = u + 1;

@@ -79,13 +79,11 @@ class QecoolEngine {
  public:
   QecoolEngine(const PlanarLattice& lattice, const QecoolConfig& config);
 
-  /// Appends one difference-syndrome layer to every Unit's Reg. Returns
-  /// false when the Reg queues are full (buffer overflow — the failure mode
-  /// of Fig 7); the layer is dropped in that case. The packed overload is
-  /// the streamed hot path (one word copy per 64 Units); the byte-per-bit
-  /// overload packs and delegates.
+  /// Appends one difference-syndrome layer to every Unit's Reg (one word
+  /// copy per 64 Units; an all-zero layer copies nothing). Returns false
+  /// when the Reg queues are full (buffer overflow — the failure mode of
+  /// Fig 7); the layer is dropped in that case.
   bool push_layer(const PackedBits& difference_layer);
-  bool push_layer(const BitVec& difference_layer);
 
   /// Executes controller work for at most `budget` cycles (use kUnlimited
   /// to run until there is nothing left to do). Returns cycles consumed.

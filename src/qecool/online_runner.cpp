@@ -11,8 +11,13 @@ OnlineStepper::OnlineStepper(const PlanarLattice& lattice,
       per_round_(config.cycles_per_round),
       test_fault_(config.engine.test_fault) {}
 
-bool OnlineStepper::note_push(bool accepted) {
-  if (!accepted) {
+bool OnlineStepper::push(const PackedBits& layer) {
+  if (paused_) {
+    throw std::logic_error(
+        "online stepper: push() while paused — resume() first");
+  }
+  if (overflow_) return false;
+  if (!engine_.push_layer(layer)) {
     overflow_ = true;
     return false;
   }
@@ -20,23 +25,14 @@ bool OnlineStepper::note_push(bool accepted) {
   return true;
 }
 
-bool OnlineStepper::push(const PackedBits& layer) {
-  if (paused_) {
-    throw std::logic_error(
-        "online stepper: push() while paused — resume() first");
-  }
-  if (overflow_) return false;
-  return note_push(engine_.push_layer(layer));
+const PackedBits& OnlineStepper::pack(const BitVec& layer) {
+  // Sized on first use: stream lanes push packed layers and never need it.
+  if (scratch_.size() != clean_.size()) scratch_ = PackedBits(clean_.size());
+  scratch_.assign_bits(layer);
+  return scratch_;
 }
 
-bool OnlineStepper::push(const BitVec& layer) {
-  if (paused_) {
-    throw std::logic_error(
-        "online stepper: push() while paused — resume() first");
-  }
-  if (overflow_) return false;
-  return note_push(engine_.push_layer(layer));
-}
+bool OnlineStepper::push(const BitVec& layer) { return push(pack(layer)); }
 
 std::uint64_t OnlineStepper::spend(double cycles) {
   last_spend_pops_ = 0;
@@ -65,11 +61,7 @@ bool OnlineStepper::step(const PackedBits& layer) {
   return true;
 }
 
-bool OnlineStepper::step(const BitVec& layer) {
-  if (!push(layer)) return false;
-  spend(per_round_);
-  return true;
-}
+bool OnlineStepper::step(const BitVec& layer) { return step(pack(layer)); }
 
 StepperCheckpoint OnlineStepper::checkpoint() {
   if (paused_) {

@@ -89,8 +89,8 @@ class OnlineStepper {
   /// Returns false when the Reg queues overflow — a terminal state; later
   /// calls are no-ops returning false. Throws std::logic_error while
   /// paused: a frozen logical clock produces no layers. The packed
-  /// overload is the streamed hot path (the trace hands out packed
-  /// layers); the byte-per-bit overload serves the offline loop and tests.
+  /// overload is the one engine push (the trace hands out packed layers);
+  /// the byte-per-bit overload packs into a scratch layer and calls it.
   bool push(const PackedBits& layer);
   bool push(const BitVec& layer);
 
@@ -158,11 +158,12 @@ class OnlineStepper {
   OnlineResult result() const;
 
  private:
-  /// Shared overflow/round bookkeeping behind both push overloads.
-  bool note_push(bool accepted);
+  /// Packs `layer` into scratch_ for the byte-per-bit overloads.
+  const PackedBits& pack(const BitVec& layer);
 
   QecoolEngine engine_;
   PackedBits clean_;
+  PackedBits scratch_;  ///< empty until a byte-per-bit overload runs
   double per_round_ = 0.0;  ///< <= 0: unconstrained.
   double carry_ = 0.0;      ///< fractional budget carried across rounds.
   bool overflow_ = false;

@@ -14,8 +14,10 @@ DecodeResult BatchQecoolDecoder::decode(const PlanarLattice& lattice,
   QecoolConfig config = config_;
   config.reg_depth = history.total_rounds();
   QecoolEngine engine(lattice, config);
+  PackedBits packed(static_cast<std::size_t>(lattice.num_checks()));
   for (const auto& layer : history.difference) {
-    if (!engine.push_layer(layer)) {
+    packed.assign_bits(layer);
+    if (!engine.push_layer(packed)) {
       throw std::logic_error("batch engine sized to hold all layers");
     }
   }

@@ -1,8 +1,6 @@
 #include "stream/scheduler.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -89,32 +87,26 @@ class LeastLoadedPolicy final : public SchedulerPolicy {
   std::vector<int> ranked_;  // scratch, reused across rounds
 };
 
-struct PolicyRegistry {
-  std::mutex mutex;
-  std::map<std::string, SchedulerPolicyFactory, std::less<>> factories;
+using PolicyFactory =
+    std::unique_ptr<SchedulerPolicy> (*)(const DecoderOptions& options);
+
+/// The built-in policies, sorted by name.
+constexpr std::pair<std::string_view, PolicyFactory> kPolicies[] = {
+    {"dedicated",
+     [](const DecoderOptions&) -> std::unique_ptr<SchedulerPolicy> {
+       return std::make_unique<DedicatedPolicy>();
+     }},
+    {"fq",  // stream/qos.cpp: DRR over new/old lists
+     [](const DecoderOptions& options) { return make_fq_policy(options); }},
+    {"least_loaded",
+     [](const DecoderOptions&) -> std::unique_ptr<SchedulerPolicy> {
+       return std::make_unique<LeastLoadedPolicy>();
+     }},
+    {"round_robin",
+     [](const DecoderOptions& options) -> std::unique_ptr<SchedulerPolicy> {
+       return std::make_unique<RoundRobinPolicy>(options.get_int("offset", 0));
+     }},
 };
-
-std::map<std::string, SchedulerPolicyFactory, std::less<>> builtin_policies() {
-  std::map<std::string, SchedulerPolicyFactory, std::less<>> factories;
-  factories["dedicated"] = [](const DecoderOptions&) {
-    return std::make_unique<DedicatedPolicy>();
-  };
-  factories["round_robin"] = [](const DecoderOptions& options) {
-    return std::make_unique<RoundRobinPolicy>(options.get_int("offset", 0));
-  };
-  factories["least_loaded"] = [](const DecoderOptions&) {
-    return std::make_unique<LeastLoadedPolicy>();
-  };
-  factories["fq"] = [](const DecoderOptions& options) {
-    return make_fq_policy(options);  // stream/qos.cpp (DRR over new/old lists)
-  };
-  return factories;
-}
-
-PolicyRegistry& policy_registry() {
-  static PolicyRegistry instance{{}, builtin_policies()};
-  return instance;
-}
 
 }  // namespace
 
@@ -124,30 +116,19 @@ void SchedulerPolicy::validate(int lanes, int engines) const {
   }
 }
 
-void register_scheduler_policy(const std::string& name,
-                               SchedulerPolicyFactory factory) {
-  PolicyRegistry& r = policy_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
-}
-
 std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec) {
   const auto colon = spec.find(':');
   const std::string_view name = spec.substr(0, colon);
-  SchedulerPolicyFactory factory;
-  {
-    PolicyRegistry& r = policy_registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.factories.find(name);
-    if (it == r.factories.end()) {
-      bad_spec("unknown policy '" + std::string(name) + "'");
-    }
-    factory = it->second;
+  const auto it =
+      std::find_if(std::begin(kPolicies), std::end(kPolicies),
+                   [name](const auto& entry) { return entry.first == name; });
+  if (it == std::end(kPolicies)) {
+    bad_spec("unknown policy '" + std::string(name) + "'");
   }
   const DecoderOptions options = DecoderOptions::parse(
       colon == std::string_view::npos ? std::string_view{}
                                       : spec.substr(colon + 1));
-  auto policy = factory(options);
+  auto policy = it->second(options);
   if (!policy) bad_spec("factory for '" + std::string(name) + "' failed");
   if (const auto leftover = options.unconsumed(); !leftover.empty()) {
     bad_spec("policy '" + std::string(name) + "' does not understand " +
@@ -157,10 +138,8 @@ std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec) {
 }
 
 std::vector<std::string> registered_scheduler_policies() {
-  PolicyRegistry& r = policy_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<std::string> names;
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
+  for (const auto& [name, factory] : kPolicies) names.emplace_back(name);
   return names;
 }
 

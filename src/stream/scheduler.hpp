@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -99,20 +98,12 @@ class SchedulerPolicy {
                       std::vector<int>& assignment) = 0;
 };
 
-using SchedulerPolicyFactory =
-    std::function<std::unique_ptr<SchedulerPolicy>(const DecoderOptions&)>;
-
-/// Registers `factory` under `name` (overwrites, so tests and downstream
-/// code can shadow built-ins). Thread-safe, mirroring register_decoder.
-void register_scheduler_policy(const std::string& name,
-                               SchedulerPolicyFactory factory);
-
 /// Constructs a policy from a spec ("name" or "name:k=v,..."). Throws
 /// std::invalid_argument for unknown names, malformed option lists, or
 /// options the named policy does not understand.
 std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec);
 
-/// Sorted names of all registered policies (built-ins plus extensions).
+/// Sorted names of the built-in policies.
 std::vector<std::string> registered_scheduler_policies();
 
 /// Observability hook (src/obs): one call per executed scheduling round,

@@ -113,7 +113,6 @@ SyndromeHistory SyndromeTrace::history(int lane) const {
   for (int t = 0; t < rounds(); ++t) {
     h.difference.push_back(layer(lane, t).to_bits());
   }
-  h.measured = accumulate_differences(h.difference);
   h.final_error = final_error(lane);
   return h;
 }

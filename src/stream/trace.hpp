@@ -26,7 +26,8 @@
 // little-endian truncated to ceil(checks/8) bytes and load() assembles
 // words straight from the payload bytes. The streamed hot path (layer()
 // -> OnlineStepper::push -> engine Reg) never unpacks byte-per-bit; only
-// history() — the cold replay-scoring bridge — converts back to BitVec.
+// history() — the cold replay-scoring bridge — unpacks, into the same
+// difference-layer SyndromeHistory the samplers emit.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +86,8 @@ class SyndromeTrace {
   const BitVec& final_error(int lane) const;
   void set_final_error(int lane, BitVec error);
 
-  /// Reconstructs `lane` as a SyndromeHistory (measured syndromes rebuilt
-  /// via accumulate_differences) — what replay hands to the scoring path.
+  /// Unpacks `lane` into a SyndromeHistory (its difference layers and
+  /// final error) — what replay hands to the scoring path.
   SyndromeHistory history(int lane) const;
 
   /// Serializes to `path`; throws TraceError when the file cannot be

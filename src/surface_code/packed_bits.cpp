@@ -48,7 +48,7 @@ bool PackedBits::any() const {
 
 int PackedBits::popcount() const {
   int count = 0;
-  for (const std::uint64_t w : words_) count += qec_popcount64(w);
+  for (const std::uint64_t w : words_) count += std::popcount(w);
   return count;
 }
 

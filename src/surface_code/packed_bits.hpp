@@ -5,8 +5,7 @@
 // a compare, and a branch per ancilla, where the SFQ hardware the paper
 // describes operates on whole registers at once. PackedBits stores 64
 // ancillas per word so XOR, occupancy scans, and defect counting become
-// one word op per 64 bits (std::popcount / countr_zero where available,
-// portable SWAR fallbacks otherwise — see qec_popcount64 below).
+// one word op per 64 bits (std::popcount / std::countr_zero).
 //
 // Layout contract: bit i lives in word i/64 at bit position i%64 (LSB
 // first). Byte k of the little-endian word stream therefore holds bits
@@ -19,56 +18,13 @@
 // any()/popcount()/operator== never need masking.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-// Bit-op backends. QEC_PORTABLE_BITOPS (CMake option, CI-exercised) forces
-// the portable SWAR paths; otherwise C++20 <bit>, which the library
-// requires anyway. Both backends are branch-free and bit-exact.
-#if !defined(QEC_PORTABLE_BITOPS)
-#include <bit>
-#endif
-
 namespace qec {
-
-/// Portable SWAR popcount (Hacker's Delight 5-1). Always available under
-/// this name regardless of the configured backend: it is the reference
-/// implementation the fuzz bit-ops oracle (src/fuzz/oracle.cpp) compares
-/// the selected backend against on every trace word.
-inline int qec_popcount64_swar(std::uint64_t x) {
-  x = x - ((x >> 1) & 0x5555555555555555ULL);
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
-}
-
-/// Portable SWAR count-trailing-zeros of a nonzero word: isolate the lowest
-/// set bit and popcount the mask below it. Reference twin of
-/// qec_countr_zero64 for the fuzz bit-ops oracle.
-inline int qec_countr_zero64_swar(std::uint64_t x) {
-  return qec_popcount64_swar((x & (~x + 1)) - 1);
-}
-
-/// Population count of one 64-bit word.
-inline int qec_popcount64(std::uint64_t x) {
-#if !defined(QEC_PORTABLE_BITOPS)
-  return std::popcount(x);
-#else
-  return qec_popcount64_swar(x);
-#endif
-}
-
-/// Index of the lowest set bit of a nonzero 64-bit word.
-inline int qec_countr_zero64(std::uint64_t x) {
-  assert(x != 0);
-#if !defined(QEC_PORTABLE_BITOPS)
-  return std::countr_zero(x);
-#else
-  return qec_countr_zero64_swar(x);
-#endif
-}
 
 class PackedBits {
  public:
@@ -162,7 +118,7 @@ class PackedBits {
     for (std::size_t w = 0; w < words_.size(); ++w) {
       std::uint64_t word = words_[w];
       while (word) {
-        const int b = qec_countr_zero64(word);
+        const int b = std::countr_zero(word);
         f((w << 6) + static_cast<std::size_t>(b));
         word &= word - 1;  // clear lowest set bit
       }

@@ -1,14 +1,16 @@
 // Small helpers for manipulating binary error / correction vectors
 // ("Pauli frames" restricted to one error sector).
 //
-// Two representations coexist:
-//  - BitVec (byte per bit): the legacy, random-access-friendly form the
-//    offline decoders (MWPM, union-find, AQEC) index per check.
+// Each form has one job:
+//  - BitVec (byte per bit): the random-access form of SyndromeHistory
+//    difference layers and final errors, which the offline decoders
+//    (MWPM, union-find, AQEC) index per check.
 //  - PackedBits (64 bits per word, surface_code/packed_bits.hpp): the
-//    streamed hot-path form — the QECOOL engine's Reg layers, the lane
-//    steppers' difference layers, and the engine's accumulated correction
-//    all live packed, so per-round XOR/occupancy/weight work is
-//    word-parallel. The overloads below keep both forms first-class.
+//    engine form. The QECOOL engine takes only packed layers (one push
+//    path), and its Reg layers, the trace's difference layers and the
+//    accumulated correction all live packed, so per-round
+//    XOR/occupancy/weight work is word-parallel. A byte-per-bit layer is
+//    packed once, where it meets the engine.
 #pragma once
 
 #include <cstdint>

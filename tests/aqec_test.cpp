@@ -14,8 +14,8 @@ SyndromeHistory history_from_error(const PlanarLattice& lat,
                                    const BitVec& error) {
   SyndromeHistory h;
   h.final_error = error;
-  h.measured = {lat.syndrome(error), lat.syndrome(error)};
-  h.difference = difference_syndromes(h.measured);
+  h.difference =
+      difference_syndromes({lat.syndrome(error), lat.syndrome(error)});
   return h;
 }
 

@@ -18,8 +18,8 @@ SyndromeHistory history_from_error(const PlanarLattice& lat,
                                    const BitVec& error) {
   SyndromeHistory h;
   h.final_error = error;
-  h.measured = {lat.syndrome(error), lat.syndrome(error)};
-  h.difference = difference_syndromes(h.measured);
+  h.difference =
+      difference_syndromes({lat.syndrome(error), lat.syndrome(error)});
   return h;
 }
 
@@ -38,8 +38,7 @@ TEST(AqecAdversarial, ColinearEquidistantChainTerminates) {
   }
   // Construct a syndrome-consistent error for this defect pattern: chain
   // segments between consecutive defects.
-  h.measured = {layer, layer};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({layer, layer});
   const auto r = dec.decode(lat, h);
   EXPECT_EQ(lat.syndrome(r.correction), layer)
       << "correction must terminate and clear every defect";
@@ -55,8 +54,7 @@ TEST(AqecAdversarial, DenseGridOfDefects) {
   }
   SyndromeHistory h;
   h.final_error.assign(static_cast<std::size_t>(lat.num_data()), 0);
-  h.measured = {layer, layer};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({layer, layer});
   AqecDecoder dec;
   const auto r = dec.decode(lat, h);
   EXPECT_EQ(lat.syndrome(r.correction), layer);
@@ -68,9 +66,9 @@ TEST(EngineEdge, ThvZeroDecodesImmediately) {
   config.thv = 0;  // a layer is eligible as soon as one newer exists... m-b>0
   config.reg_depth = 7;
   QecoolEngine engine(lat, config);
-  BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
-  layer[static_cast<std::size_t>(lat.check_index(2, 1))] = 1;
-  layer[static_cast<std::size_t>(lat.check_index(2, 2))] = 1;
+  PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
+  layer.set(static_cast<std::size_t>(lat.check_index(2, 1)));
+  layer.set(static_cast<std::size_t>(lat.check_index(2, 2)));
   engine.push_layer(layer);
   engine.run(QecoolEngine::kUnlimited);
   // m=1, b=0: m-b=1 > 0, so the layer decodes without waiting.
@@ -116,8 +114,7 @@ TEST(UnionFindEdge, WholeGridLitStillDecodes) {
   BitVec layer(static_cast<std::size_t>(lat.num_checks()), 1);
   SyndromeHistory h;
   h.final_error.assign(static_cast<std::size_t>(lat.num_data()), 0);
-  h.measured = {layer, layer};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({layer, layer});
   UnionFindDecoder dec;
   const auto r = dec.decode(lat, h);
   EXPECT_EQ(lat.syndrome(r.correction), layer);

@@ -8,10 +8,11 @@
 namespace qec {
 namespace {
 
-BitVec layer_with(const PlanarLattice& lat, std::vector<CheckCoord> coords) {
-  BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+PackedBits layer_with(const PlanarLattice& lat,
+                      std::vector<CheckCoord> coords) {
+  PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& c : coords) {
-    layer[static_cast<std::size_t>(lat.check_index(c.row, c.col))] = 1;
+    layer.set(static_cast<std::size_t>(lat.check_index(c.row, c.col)));
   }
   return layer;
 }
@@ -81,7 +82,9 @@ TEST(EngineTrace, TraceKindsMatchStats) {
     QecoolConfig c = config;
     c.reg_depth = h.total_rounds();
     QecoolEngine engine(lat, c);
-    for (const auto& layer : h.difference) engine.push_layer(layer);
+    for (const auto& layer : h.difference) {
+      engine.push_layer(PackedBits::from_bits(layer));
+    }
     engine.run(QecoolEngine::kUnlimited);
     std::uint64_t pairs = 0, selfs = 0, boundaries = 0;
     for (const auto& event : engine.trace()) {

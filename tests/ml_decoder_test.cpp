@@ -15,8 +15,8 @@ SyndromeHistory history_from_error(const PlanarLattice& lat,
                                    const BitVec& error) {
   SyndromeHistory h;
   h.final_error = error;
-  h.measured = {lat.syndrome(error), lat.syndrome(error)};
-  h.difference = difference_syndromes(h.measured);
+  h.difference =
+      difference_syndromes({lat.syndrome(error), lat.syndrome(error)});
   return h;
 }
 
@@ -41,8 +41,7 @@ TEST(MlDecoder, RejectsMeasurementNoise) {
   BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
   BitVec dirty = clean;
   dirty[0] = 1;
-  h.measured = {clean, dirty, clean};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({clean, dirty, clean});
   EXPECT_THROW(dec.decode(lat, h), std::invalid_argument);
 }
 

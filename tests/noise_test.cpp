@@ -8,13 +8,24 @@
 namespace qec {
 namespace {
 
+/// The measured-syndrome sequence: the running XOR of the difference
+/// layers. Its last entry is the final perfect round's syndrome.
+std::vector<BitVec> running_xor(const SyndromeHistory& h) {
+  std::vector<BitVec> measured;
+  for (const auto& layer : h.difference) {
+    measured.push_back(measured.empty() ? layer
+                                        : xor_of(layer, measured.back()));
+  }
+  return measured;
+}
+
 TEST(Noise, NoNoiseGivesCleanHistory) {
   const PlanarLattice lat(5);
   Xoshiro256ss rng(1);
   const auto h = sample_history(lat, {0.0, 0.0, 5}, rng);
   EXPECT_EQ(h.total_rounds(), 6);  // 5 noisy + 1 perfect
   EXPECT_TRUE(is_zero(h.final_error));
-  for (const auto& layer : h.measured) EXPECT_TRUE(is_zero(layer));
+  for (const auto& layer : h.difference) EXPECT_TRUE(is_zero(layer));
   EXPECT_EQ(defect_count(h), 0);
 }
 
@@ -30,16 +41,15 @@ TEST(Noise, FinalRoundIsPerfect) {
   Xoshiro256ss rng(2);
   const auto h = sample_history(lat, {0.05, 0.05, 5}, rng);
   // Last measured layer must equal the true syndrome of the final error.
-  EXPECT_EQ(h.measured.back(), lat.syndrome(h.final_error));
+  EXPECT_EQ(running_xor(h).back(), lat.syndrome(h.final_error));
 }
 
-TEST(Noise, DifferenceTelescopesToFinalMeasurement) {
+TEST(Noise, DifferenceSyndromesInvertTheRunningXor) {
   const PlanarLattice lat(7);
   Xoshiro256ss rng(3);
   const auto h = sample_history(lat, {0.03, 0.03, 7}, rng);
-  BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
-  for (const auto& layer : h.difference) xor_into(layer, acc);
-  EXPECT_EQ(acc, h.measured.back());
+  EXPECT_GT(defect_count(h), 0);
+  EXPECT_EQ(difference_syndromes(running_xor(h)), h.difference);
 }
 
 TEST(Noise, MeasurementNoiseOnlyLeavesDataClean) {
@@ -62,10 +72,10 @@ TEST(Noise, DataNoiseCreatesMatchingSyndrome) {
   const auto h = sample_history(lat, {0.1, 0.0, 3}, rng);
   // With perfect measurement, every measured layer is the true syndrome of
   // the accumulated error — in particular each is a valid syndrome.
-  for (const auto& layer : h.measured) {
+  for (const auto& layer : h.difference) {
     EXPECT_EQ(layer.size(), static_cast<std::size_t>(lat.num_checks()));
   }
-  EXPECT_EQ(h.measured.back(), lat.syndrome(h.final_error));
+  EXPECT_EQ(running_xor(h).back(), lat.syndrome(h.final_error));
 }
 
 TEST(Noise, DeterministicGivenRngState) {
@@ -74,7 +84,6 @@ TEST(Noise, DeterministicGivenRngState) {
   const auto a = sample_history(lat, {0.02, 0.02, 5}, rng1);
   const auto b = sample_history(lat, {0.02, 0.02, 5}, rng2);
   EXPECT_EQ(a.final_error, b.final_error);
-  EXPECT_EQ(a.measured, b.measured);
   EXPECT_EQ(a.difference, b.difference);
 }
 
@@ -113,12 +122,12 @@ TEST_P(NoiseSweep, HistoriesAreInternallyConsistent) {
     const auto h = sample_history(lat, {0.02, 0.02, d}, rng);
     ASSERT_EQ(h.total_rounds(), d + 1);
     ASSERT_EQ(static_cast<int>(h.final_error.size()), lat.num_data());
-    // Difference layers must reconstruct measured layers by prefix XOR.
-    BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
-    for (int t = 0; t < h.total_rounds(); ++t) {
-      xor_into(h.difference[static_cast<std::size_t>(t)], acc);
-      ASSERT_EQ(acc, h.measured[static_cast<std::size_t>(t)]) << "t=" << t;
+    for (const auto& layer : h.difference) {
+      ASSERT_EQ(layer.size(), static_cast<std::size_t>(lat.num_checks()));
     }
+    // The prefix XOR of the difference layers ends on the final perfect
+    // round: the syndrome of the accumulated error.
+    ASSERT_EQ(running_xor(h).back(), lat.syndrome(h.final_error));
   }
 }
 

@@ -114,13 +114,13 @@ TEST(OnlineRunner, IntegerBudgetMatchesLegacyPerRoundGrant) {
     QecoolEngine engine(lat, config.engine);
     bool overflow = false;
     for (const auto& layer : h.difference) {
-      if (!engine.push_layer(layer)) {
+      if (!engine.push_layer(PackedBits::from_bits(layer))) {
         overflow = true;
         break;
       }
       engine.run(300);
     }
-    const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+    const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
     for (int extra = 0; !overflow && extra < config.max_drain_rounds;
          ++extra) {
       if (engine.all_clear() && engine.stored_layers() == 0) break;
@@ -263,8 +263,7 @@ TEST(OnlineRunner, ZeroDefectHistoryDrainsWithoutMatches) {
   const PlanarLattice lat(7);
   SyndromeHistory h;
   const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
-  h.measured.assign(8, clean);
-  h.difference = difference_syndromes(h.measured);
+  h.difference.assign(8, clean);
   h.final_error.assign(static_cast<std::size_t>(lat.num_data()), 0);
 
   OnlineConfig config;
@@ -301,8 +300,7 @@ TEST(OnlineRunner, OnlineAndBatchAgreeOnIsolatedErrors) {
   h.final_error[static_cast<std::size_t>(q)] = 1;
   const BitVec synd = lat.syndrome(h.final_error);
   const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
-  h.measured = {clean, synd, synd, synd, synd};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({clean, synd, synd, synd, synd});
 
   OnlineConfig config;
   config.cycles_per_round = 2000;

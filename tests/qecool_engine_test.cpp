@@ -12,10 +12,11 @@
 namespace qec {
 namespace {
 
-BitVec layer_with(const PlanarLattice& lat, std::vector<CheckCoord> coords) {
-  BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+PackedBits layer_with(const PlanarLattice& lat,
+                      std::vector<CheckCoord> coords) {
+  PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& c : coords) {
-    layer[static_cast<std::size_t>(lat.check_index(c.row, c.col))] = 1;
+    layer.set(static_cast<std::size_t>(lat.check_index(c.row, c.col)));
   }
   return layer;
 }
@@ -30,7 +31,7 @@ QecoolConfig batch_config(int reg_depth) {
 TEST(QecoolEngine, PushPopMechanics) {
   const PlanarLattice lat(5);
   QecoolEngine engine(lat, batch_config(3));
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   EXPECT_TRUE(engine.push_layer(clean));
   EXPECT_TRUE(engine.push_layer(clean));
   EXPECT_TRUE(engine.push_layer(clean));
@@ -46,7 +47,7 @@ TEST(QecoolEngine, CleanLayerCostsAboutOnePass) {
   // Row master skips every clean row: cost ~ rows + pass overhead + pop.
   const PlanarLattice lat(5);
   QecoolEngine engine(lat, batch_config(1));
-  engine.push_layer(BitVec(static_cast<std::size_t>(lat.num_checks()), 0));
+  engine.push_layer(PackedBits(static_cast<std::size_t>(lat.num_checks())));
   engine.run(QecoolEngine::kUnlimited);
   ASSERT_EQ(engine.layer_cycles().size(), 1u);
   EXPECT_EQ(engine.layer_cycles()[0], 5u + 1u + 1u);
@@ -182,7 +183,7 @@ TEST(QecoolEngine, ThvGatesDecoding) {
   // Only 1 stored layer: m - b = 1 <= thv, so the engine must idle.
   EXPECT_EQ(engine.run(QecoolEngine::kUnlimited), 0u);
   EXPECT_FALSE(engine.all_clear());
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   engine.push_layer(clean);
   engine.push_layer(clean);
   EXPECT_EQ(engine.run(QecoolEngine::kUnlimited), 0u) << "m=3 still gated";
@@ -198,11 +199,15 @@ TEST(QecoolEngine, BudgetedRunsResumeAndMatchUnbudgeted) {
   const auto h = sample_history(lat, {0.03, 0.03, 7}, rng);
 
   QecoolEngine full(lat, batch_config(h.total_rounds()));
-  for (const auto& layer : h.difference) full.push_layer(layer);
+  for (const auto& layer : h.difference) {
+    full.push_layer(PackedBits::from_bits(layer));
+  }
   full.run(QecoolEngine::kUnlimited);
 
   QecoolEngine sliced(lat, batch_config(h.total_rounds()));
-  for (const auto& layer : h.difference) sliced.push_layer(layer);
+  for (const auto& layer : h.difference) {
+    sliced.push_layer(PackedBits::from_bits(layer));
+  }
   while (!(sliced.all_clear() && sliced.stored_layers() == 0)) {
     sliced.run(3);  // tiny budget slices
   }
@@ -253,8 +258,8 @@ SyndromeHistory history_from_error(const PlanarLattice& lat,
                                    const BitVec& error) {
   SyndromeHistory h;
   h.final_error = error;
-  h.measured = {lat.syndrome(error), lat.syndrome(error)};
-  h.difference = difference_syndromes(h.measured);
+  h.difference =
+      difference_syndromes({lat.syndrome(error), lat.syndrome(error)});
   return h;
 }
 

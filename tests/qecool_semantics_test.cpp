@@ -11,10 +11,11 @@
 namespace qec {
 namespace {
 
-BitVec layer_with(const PlanarLattice& lat, std::vector<CheckCoord> coords) {
-  BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+PackedBits layer_with(const PlanarLattice& lat,
+                      std::vector<CheckCoord> coords) {
+  PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& c : coords) {
-    layer[static_cast<std::size_t>(lat.check_index(c.row, c.col))] = 1;
+    layer.set(static_cast<std::size_t>(lat.check_index(c.row, c.col)));
   }
   return layer;
 }
@@ -74,7 +75,7 @@ TEST(QecoolRouting, CorrectionIsSyndromeValidForRandomPairs) {
     // Residual after correcting the "virtual error" = syndrome of the
     // correction must equal the pushed defect pattern or account for
     // boundary matches.
-    const BitVec synd = lat.syndrome(engine.correction());
+    const auto synd = PackedBits::from_bits(lat.syndrome(engine.correction()));
     const auto& stats = engine.match_stats();
     if (stats.pair_matches == 1 && stats.boundary_matches == 0) {
       EXPECT_EQ(synd, layer_with(lat, {{r1, c1}, {r2, c2}}));
@@ -95,7 +96,7 @@ TEST(QecoolRace, ThreeDefectsResolveDeterministically) {
   QecoolEngine engine(lat, batch_config(1));
   engine.push_layer(layer_with(lat, {{2, 2}, {2, 1}, {3, 2}}));
   engine.run(QecoolEngine::kUnlimited);
-  const BitVec synd = lat.syndrome(engine.correction());
+  const auto synd = PackedBits::from_bits(lat.syndrome(engine.correction()));
   EXPECT_EQ(synd, layer_with(lat, {{2, 2}, {2, 1}, {3, 2}}));
   EXPECT_TRUE(engine.all_clear());
   EXPECT_EQ(engine.match_stats().pair_matches, 1u);
@@ -151,7 +152,7 @@ TEST(QecoolConfigKnobs, CycleCostsScaleReportedWork) {
   costly.cycles.pass_overhead = 10;
   costly.cycles.pop = 10;
   QecoolEngine a(lat, cheap), b(lat, costly);
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   a.push_layer(clean);
   b.push_layer(clean);
   a.run(QecoolEngine::kUnlimited);
@@ -188,7 +189,9 @@ TEST(QecoolDeterminism, IdenticalRunsBitForBit) {
   const auto h = sample_history(lat, {0.04, 0.04, 7}, rng);
   auto run_once = [&] {
     QecoolEngine engine(lat, batch_config(h.total_rounds()));
-    for (const auto& layer : h.difference) engine.push_layer(layer);
+    for (const auto& layer : h.difference) {
+      engine.push_layer(PackedBits::from_bits(layer));
+    }
     engine.run(QecoolEngine::kUnlimited);
     return std::make_pair(engine.correction(), engine.total_cycles());
   };

@@ -84,11 +84,11 @@ TEST(EngineFuzz, RandomPushesAndBudgetsNeverBreakInvariants) {
 
     for (int step = 0; step < 30; ++step) {
       if (rng.below(2)) {
-        BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+        PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
         // Push a random even-ish defect layer.
         const int defects = static_cast<int>(rng.below(5));
         for (int k = 0; k < defects; ++k) {
-          layer[rng.below(static_cast<std::uint64_t>(lat.num_checks()))] ^= 1;
+          layer.flip(rng.below(static_cast<std::uint64_t>(lat.num_checks())));
         }
         engine.push_layer(layer);  // overflow allowed; must not corrupt
       } else {
@@ -110,7 +110,7 @@ TEST(EngineFuzz, PopAttributionCoversAllPops) {
   config.thv = -1;
   config.reg_depth = 10;
   QecoolEngine engine(lat, config);
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   for (int i = 0; i < 10; ++i) engine.push_layer(clean);
   engine.run(QecoolEngine::kUnlimited);
   EXPECT_EQ(engine.popped_layers(), 10);
@@ -303,6 +303,27 @@ TEST(UnwritableOutputs, ObsBundleDumpFailureIsNamed) {
   EXPECT_NE(output.find("cannot write obs bundle to " + bad),
             std::string::npos)
       << command << "\n" << output;
+}
+
+TEST(UnwritableOutputs, FuzzOutputDirFailsBeforeTheFirstIteration) {
+  // engine_fuzz used to accept an --out it could not create, fuzz, and
+  // exit 0 when nothing failed; the error surfaced only while saving a
+  // failing input. The path sits under a regular file because root can
+  // create any other missing directory.
+  const std::string bad = not_a_directory() + "/sub";
+  for (const char* flag : {" --out=", " --save-corpus="}) {
+    const std::string command =
+        std::string(QEC_ENGINE_FUZZ) + " --iters=1" + flag + bad;
+    const auto [status, output] = run_command(command);
+    EXPECT_EQ(status, 2) << command << "\n" << output;
+    EXPECT_NE(output.find("engine_fuzz: cannot create " + bad + ": "),
+              std::string::npos)
+        << command << "\n" << output;
+    for (const char* never : {"iterations in", "wrote "}) {
+      EXPECT_EQ(output.find(never), std::string::npos)
+          << command << "\n" << output;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Bit-identity pins of the phenomenological sampler. The sampling kernel
-// is a hot loop that gets rewritten for speed; these tests make sure every
-// rewrite keeps the exact xoshiro256** stream: the same draws, in the same
-// order, producing the same bits. Two independent checks:
+// Bit-identity pins of the noise samplers. The sampling kernels are hot
+// loops that get rewritten for speed; these tests make sure every rewrite
+// keeps the exact xoshiro256** stream: the same draws, in the same order,
+// producing the same bits. Three independent checks:
 //
 //   - FNV-1a digests of record_trace payloads and of sample_history
 //     outputs over a (distance x p) grid, captured from the original
@@ -10,6 +10,12 @@
 //   - A test-local copy of the original byte-per-bit loop, used as a
 //     reference oracle that sample_history must match exactly, including
 //     the generator state it leaves behind.
+//   - FNV-1a digests of the circuit-level and two-sector depolarizing
+//     samplers (difference layers, final error, next draw), captured from
+//     the implementation that built a measured sequence first.
+//
+// A history stores only difference layers; the measured syndromes the
+// older digests were taken over are their running XOR, rebuilt here.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "noise/circuit_level.hpp"
+#include "noise/depolarizing.hpp"
 #include "noise/phenomenological.hpp"
 #include "stream/service.hpp"
 #include "stream/trace.hpp"
@@ -34,6 +42,7 @@ SyndromeHistory reference_history(const PlanarLattice& lattice,
                                   Xoshiro256ss& rng) {
   SyndromeHistory h;
   h.final_error.assign(static_cast<std::size_t>(lattice.num_data()), 0);
+  std::vector<BitVec> measured;
   for (int t = 0; t < params.rounds; ++t) {
     for (auto& bit : h.final_error) {
       bit ^= static_cast<std::uint8_t>(rng.bernoulli(params.p_data));
@@ -42,11 +51,22 @@ SyndromeHistory reference_history(const PlanarLattice& lattice,
     for (auto& bit : meas) {
       bit ^= static_cast<std::uint8_t>(rng.bernoulli(params.p_meas));
     }
-    h.measured.push_back(std::move(meas));
+    measured.push_back(std::move(meas));
   }
-  h.measured.push_back(lattice.syndrome(h.final_error));
-  h.difference = difference_syndromes(h.measured);
+  measured.push_back(lattice.syndrome(h.final_error));
+  h.difference = difference_syndromes(measured);
   return h;
+}
+
+/// The measured-syndrome sequence: the running XOR of the difference
+/// layers.
+std::vector<BitVec> running_xor(const std::vector<BitVec>& difference) {
+  std::vector<BitVec> measured;
+  for (const auto& layer : difference) {
+    measured.push_back(measured.empty() ? layer
+                                        : xor_of(layer, measured.back()));
+  }
+  return measured;
 }
 
 std::uint64_t digest(const std::vector<BitVec>& layers) {
@@ -155,9 +175,100 @@ TEST(SamplerGolden, SampleHistoryDigestsArePinned) {
     SCOPED_TRACE("d=" + std::to_string(c.d) +
                  " p_data=" + std::to_string(c.p_data) +
                  " p_meas=" + std::to_string(c.p_meas));
-    EXPECT_EQ(digest(h.measured), c.measured);
+    EXPECT_EQ(digest(running_xor(h.difference)), c.measured);
     EXPECT_EQ(digest(h.difference), c.difference);
     EXPECT_EQ(digest(h.final_error), c.final_error);
+  }
+}
+
+struct CircuitCase {
+  int d;
+  double p;
+  std::uint64_t difference;
+  std::uint64_t final_error;
+  std::uint64_t next_draw;
+};
+
+// Captured from the measured-sequence circuit sampler
+// (Xoshiro256ss(kSeed + d), kRounds noisy rounds, idle_scale 1).
+constexpr CircuitCase kCircuitCases[] = {
+    {3, 0.0, 0x2a3129a9c3cff60dULL, 0x7c96179f62dae92fULL,
+     0x0e48715a13d7772eULL},
+    {3, 0.001, 0x2a3129a9c3cff60dULL, 0x7c96179f62dae92fULL,
+     0x2c1deb2b8afb6930ULL},
+    {3, 0.02, 0x2f535174fd118f7aULL, 0x54862fa74698a41cULL,
+     0x2c1deb2b8afb6930ULL},
+    {9, 0.0, 0x52014397078ac885ULL, 0x5652bd74c95c559fULL,
+     0xd772c57d3a44bb4aULL},
+    {9, 0.001, 0xd9dec4a396affa35ULL, 0xd4e45c7d791ad724ULL,
+     0xdc978954aaf149afULL},
+    {9, 0.02, 0x10e7862dc45abb2cULL, 0x90904d224fdc2b76ULL,
+     0xaa1c429fa1492074ULL},
+    {13, 0.0, 0x7f579e6a759918f5ULL, 0x2eeff0179fa4fcffULL,
+     0x18e39589e792a792ULL},
+    {13, 0.001, 0x9fb7025c86161409ULL, 0x5ab56d0eefbf013cULL,
+     0x314f37f56af37ddcULL},
+    {13, 0.02, 0xadaa72007dfe05ceULL, 0x5c28bde384ef3fb5ULL,
+     0xefb6d86b6ffad19fULL},
+};
+
+struct DepolarizingCase {
+  int d;
+  double p;
+  std::uint64_t x_difference;
+  std::uint64_t x_final_error;
+  std::uint64_t z_difference;
+  std::uint64_t z_final_error;
+  std::uint64_t next_draw;
+};
+
+// Captured from the measured-sequence two-sector sampler
+// (Xoshiro256ss(kSeed + d), kRounds noisy rounds, p_meas = p).
+constexpr DepolarizingCase kDepolarizingCases[] = {
+    {3, 0.0, 0x2a3129a9c3cff60dULL, 0x7c96179f62dae92fULL,
+     0x2a3129a9c3cff60dULL, 0x7c96179f62dae92fULL, 0x0e48715a13d7772eULL},
+    {3, 0.001, 0x2a3129a9c3cff60dULL, 0x7c96179f62dae92fULL,
+     0x2a3129a9c3cff60dULL, 0x7c96179f62dae92fULL, 0xd8575b03f9f6a17cULL},
+    {3, 0.02, 0xebe0402ec93af3cfULL, 0xf953a04f93bffecfULL,
+     0xd3114eabee41b0fcULL, 0xeca4bd251670946cULL, 0xd30f05e1506cf69aULL},
+    {9, 0.0, 0x52014397078ac885ULL, 0x5652bd74c95c559fULL,
+     0x52014397078ac885ULL, 0x5652bd74c95c559fULL, 0xd772c57d3a44bb4aULL},
+    {9, 0.001, 0x52014397078ac885ULL, 0x5652bd74c95c559fULL,
+     0x81db1a8ed41f9e05ULL, 0x3d83cbf1ee6312ccULL, 0xaec2e5529271ce72ULL},
+    {9, 0.02, 0xabe035eb33cca4baULL, 0xe26bc4bd8de197ecULL,
+     0x626dde474e82363dULL, 0x07cb81d3e6ff1cb7ULL, 0x374707b6cc1609abULL},
+    {13, 0.0, 0x7f579e6a759918f5ULL, 0x2eeff0179fa4fcffULL,
+     0x7f579e6a759918f5ULL, 0x2eeff0179fa4fcffULL, 0x18e39589e792a792ULL},
+    {13, 0.001, 0x947609709f358da5ULL, 0x0a3f67e99457cc12ULL,
+     0xd659dd737188bd39ULL, 0x4ea59fdae20cb827ULL, 0x10be32cf33875477ULL},
+    {13, 0.02, 0x5936d3850412a536ULL, 0x5318ae972588443cULL,
+     0x7ee104a1880bf0a9ULL, 0xa2beace4fb5b4fe3ULL, 0x032febbd27af8035ULL},
+};
+
+TEST(SamplerGolden, CircuitHistoryDigestsArePinned) {
+  for (const auto& c : kCircuitCases) {
+    const PlanarLattice lattice(c.d);
+    Xoshiro256ss rng(kSeed + static_cast<std::uint64_t>(c.d));
+    const auto h = sample_circuit_history(lattice, {c.p, kRounds, 1.0}, rng);
+    SCOPED_TRACE("d=" + std::to_string(c.d) + " p=" + std::to_string(c.p));
+    EXPECT_EQ(digest(h.difference), c.difference);
+    EXPECT_EQ(digest(h.final_error), c.final_error);
+    EXPECT_EQ(rng(), c.next_draw);
+  }
+}
+
+TEST(SamplerGolden, DepolarizingHistoryDigestsArePinned) {
+  for (const auto& c : kDepolarizingCases) {
+    const PlanarLattice lattice(c.d);
+    Xoshiro256ss rng(kSeed + static_cast<std::uint64_t>(c.d));
+    const auto h =
+        sample_depolarizing_history(lattice, {c.p, c.p, kRounds}, rng);
+    SCOPED_TRACE("d=" + std::to_string(c.d) + " p=" + std::to_string(c.p));
+    EXPECT_EQ(digest(h.x.difference), c.x_difference);
+    EXPECT_EQ(digest(h.x.final_error), c.x_final_error);
+    EXPECT_EQ(digest(h.z.difference), c.z_difference);
+    EXPECT_EQ(digest(h.z.final_error), c.z_final_error);
+    EXPECT_EQ(rng(), c.next_draw);
   }
 }
 
@@ -198,7 +309,6 @@ TEST(SamplerGolden, MatchesByteLoopOracleExactly) {
         SCOPED_TRACE("d=" + std::to_string(d) +
                      " p_data=" + std::to_string(p_data) +
                      " p_meas=" + std::to_string(p_meas));
-        ASSERT_EQ(h.measured, ref.measured);
         ASSERT_EQ(h.difference, ref.difference);
         ASSERT_EQ(h.final_error, ref.final_error);
         // Same number of draws: the generators continue in lockstep.

@@ -68,11 +68,15 @@ TEST(StreamTrace, HistoryReconstructionMatchesRecordedNoise) {
   for (int lane = 0; lane < trace.lanes(); ++lane) {
     const SyndromeHistory h = trace.history(lane);
     ASSERT_EQ(static_cast<int>(h.difference.size()), trace.rounds());
-    ASSERT_EQ(h.measured.size(), h.difference.size());
-    ASSERT_EQ(difference_syndromes(h.measured), h.difference);
-    // The last measured round is perfect, so it must equal the syndrome of
-    // the recorded ground-truth error.
-    ASSERT_EQ(h.measured.back(), lattice.syndrome(h.final_error));
+    BitVec measured(static_cast<std::size_t>(lattice.num_checks()), 0);
+    for (int t = 0; t < trace.rounds(); ++t) {
+      const auto& layer = h.difference[static_cast<std::size_t>(t)];
+      ASSERT_EQ(layer, trace.layer(lane, t).to_bits());
+      xor_into(layer, measured);
+    }
+    // The last measured round (the running XOR of the differences) is
+    // perfect, so it must equal the syndrome of the recorded ground truth.
+    ASSERT_EQ(measured, lattice.syndrome(h.final_error));
   }
 }
 

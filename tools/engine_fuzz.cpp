@@ -17,7 +17,6 @@
 // (the harness self-check: a planted engine bug must be found).
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -167,13 +166,7 @@ int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
   config.oracle = build_oracle(args);
   config.max_iterations = 1;
   config.out_dir = dir;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "engine_fuzz: cannot create %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
-    return 2;
-  }
+  qec::fuzz::create_output_dir(dir);  // main() reports a failure, exit 2
   int written = 0;
   for (const auto& spec : config.seeds) {
     qec::StreamConfig stream;
